@@ -70,12 +70,14 @@ class Node {
   // Removes all children.
   void clearChildren() { children_.clear(); }
 
-  // --- taint provenance (server-side rendering only) ---
+  // --- taint provenance (reference trees only) ---
   // Bit-vector of provenance labels: which cookie reads influenced this
-  // node. Set by the site behaviors while rendering; 0 (the default)
-  // everywhere else — parsed client-side trees never carry taint. The
-  // effective taint of a node is the OR of its own labels and its
-  // ancestors', which the provenance-aware serializer accumulates.
+  // node. The synthetic origin renders bytes and records its ranges itself
+  // (server/fragments.h); trees carry taint only when built by hand as a
+  // reference for the streaming stamper, and 0 (the default) everywhere
+  // else — parsed client-side trees never carry taint. The effective taint
+  // of a node is the OR of its own labels and its ancestors', which the
+  // provenance-aware serializer accumulates.
   std::uint32_t taintLabels() const { return taintLabels_; }
   void addTaintLabels(std::uint32_t labels) { taintLabels_ |= labels; }
 

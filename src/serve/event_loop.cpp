@@ -146,7 +146,6 @@ void EventLoop::runSync(std::function<void()> fn) {
 
 void EventLoop::run() {
   loopThread_.store(std::this_thread::get_id(), std::memory_order_release);
-  stop_.store(false, std::memory_order_release);
   epoll_event events[64];
   while (!stop_.load(std::memory_order_acquire)) {
     int timeoutMs = -1;
@@ -183,6 +182,10 @@ void EventLoop::run() {
                       (monotonicMs() - busyStart),
                   std::memory_order_relaxed);
   }
+  // Cleared on the way out, not on entry: a stop() that lands before the
+  // loop thread reaches run() still ends that run, and the next run() starts
+  // fresh.
+  stop_.store(false, std::memory_order_release);
   loopThread_.store(std::thread::id(), std::memory_order_release);
 }
 

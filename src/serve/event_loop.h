@@ -70,7 +70,8 @@ class EventLoop {
 
   // Runs until stop(). Re-runnable after a stop.
   void run();
-  // Thread-safe; the loop exits after finishing the current iteration.
+  // Thread-safe; the loop exits after finishing the current iteration. A
+  // stop() issued before run() is entered makes that run() return at once.
   void stop();
 
   bool inLoopThread() const {

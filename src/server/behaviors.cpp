@@ -2,19 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <vector>
 
-#include "dom/select.h"
 #include "net/cookie_parse.h"
-#include "server/fragments.h"
 #include "server/words.h"
-#include "util/strings.h"
 
 namespace cookiepicker::server {
 
 namespace {
-
-using dom::Node;
 
 std::string randomHexId(util::Pcg32& rng) {
   char buffer[20];
@@ -33,25 +27,9 @@ std::string setCookieValue(const std::string& name, const std::string& value,
   return header;
 }
 
-bool hasClassToken(const Node& node, const std::string& token) {
-  const auto classAttr = node.attribute("class");
-  if (!classAttr.has_value()) return false;
-  for (const std::string& existing : util::splitWhitespace(*classAttr)) {
-    if (existing == token) return true;
-  }
-  return false;
+void insertFirst(std::vector<Block>& blocks, Block block) {
+  blocks.insert(blocks.begin(), std::move(block));
 }
-
-std::vector<Node*> findByClass(Node& root, const std::string& token) {
-  return dom::select(root, "." + token);
-}
-
-void setElementText(Node& element, const std::string& text) {
-  element.clearChildren();
-  element.appendChild(Node::makeText(text));
-}
-
-Node* findMain(Node& body) { return body.findFirst("main"); }
 
 }  // namespace
 
@@ -107,18 +85,16 @@ void SessionCartBehavior::onRequest(const RenderContext& context,
 }
 
 void SessionCartBehavior::render(const RenderContext& context,
-                                 dom::Node& body) {
-  Node* header = body.findFirst("header");
-  if (header == nullptr) return;
-  auto cart = Node::makeElement("span");
-  cart->setAttribute("class", "cart-status");
-  const std::string count =
+                                 PagePlan& page) {
+  const std::string_view count =
       context.hasCookie(cookieName_) ? context.cookieValue(cookieName_) : "0";
-  cart->appendChild(Node::makeText("Cart items: " + count));
+  Block cart{"<span class=\"cart-status\">Cart items: "};
+  appendText(cart.html, count);
+  cart.html += "</span>";
   // The cart widget renders either way, but its content is a function of the
   // cookie read — taint it in both branches.
-  cart->addTaintLabels(context.taintFor(cookieName_));
-  header->appendChild(std::move(cart));
+  cart.taint = context.taintFor(cookieName_);
+  page.header.push_back(std::move(cart));
 }
 
 // --- PreferenceCookieBehavior -----------------------------------------------
@@ -146,91 +122,59 @@ void PreferenceCookieBehavior::onRequest(const RenderContext& context,
 }
 
 void PreferenceCookieBehavior::render(const RenderContext& context,
-                                      dom::Node& body) {
+                                      PagePlan& page) {
   // Both branches below are conditioned on reading this cookie, so both
   // taint what they emit — the absence branch's banner is as much a
   // consequence of the read as the personalized content.
   const provenance::LabelSet taint = context.taintFor(cookieName_);
   if (!context.hasCookie(cookieName_) || !affectsPath(context.path)) {
     // Without the preference cookie the generic page carries a hint banner.
-    if (Node* main = findMain(body); main != nullptr &&
-                                     affectsPath(context.path)) {
-      auto banner = Node::makeElement("div");
-      banner->setAttribute("class", "pref-hint");
-      banner->appendChild(
-          Node::makeText("Set your preferences to personalize this page."));
-      banner->addTaintLabels(taint);
-      main->insertChild(0, std::move(banner));
+    if (affectsPath(context.path)) {
+      insertFirst(page.main,
+                  {"<div class=\"pref-hint\">Set your preferences to "
+                   "personalize this page.</div>",
+                   taint});
     }
     return;
   }
 
   util::Pcg32& stable = *context.stableRng;
   // 1. Personalized greeting replaces the generic site title text.
-  if (Node* heading = body.findFirst("h1"); heading != nullptr) {
-    setElementText(*heading, "Welcome back — your " + randomWord(stable) +
-                                 " edition");
-    heading->addTaintLabels(taint);
-  }
-  // 2. Sidebar with saved links, inserted before <main>.
-  Node* page = body.findFirst("div");
-  Node* main = findMain(body);
-  if (page != nullptr && main != nullptr) {
-    std::size_t mainIndex = 0;
-    for (std::size_t i = 0; i < page->childCount(); ++i) {
-      if (&page->child(i) == main) {
-        mainIndex = i;
-        break;
-      }
-    }
-    page->insertChild(mainIndex, makeSidebar(stable, "Your saved topics", 5))
-        .addTaintLabels(taint);
-  }
-  if (main == nullptr) return;
+  page.heading = "Welcome back — your " + randomWord(stable) + " edition";
+  page.headingTaint |= taint;
+  // 2. Sidebar with saved links, just before <main>.
+  page.beforeMain.push_back(
+      {makeSidebar(stable, "Your saved topics", 5), taint});
   // 3. Recommendation sections at the top of <main>.
   for (int i = 0; i < intensity_; ++i) {
-    auto recommended = Node::makeElement("section");
-    recommended->setAttribute("class", "recommended");
-    recommended->appendChild(
-        makeTextElement("h2", "Recommended for you: " + randomTitle(stable)));
-    recommended->appendChild(
-        makeTextElement("p", randomParagraph(stable, 2)));
-    auto list = Node::makeElement("ul");
+    Block recommended{"<section class=\"recommended\">", taint};
+    std::string& out = recommended.html;
+    appendTextElement(out, "h2",
+                      "Recommended for you: " + randomTitle(stable));
+    appendTextElement(out, "p", randomParagraph(stable, 2));
+    out += "<ul>";
     for (int j = 0; j < 4; ++j) {
-      list->appendChild(makeTextElement("li", randomPhrase(stable, 4)));
+      appendTextElement(out, "li", randomPhrase(stable, 4));
     }
-    recommended->appendChild(std::move(list));
-    recommended->addTaintLabels(taint);
-    main->insertChild(0, std::move(recommended));
+    out += "</ul></section>";
+    insertFirst(page.main, std::move(recommended));
   }
   // 4. High intensity: personalization dominates — generic sections are
-  // replaced outright (drives P4-style similarity scores near 0.2).
+  // replaced outright (drives P4-style similarity scores near 0.2). The
+  // walk runs back to front, so the feeds draw in reverse document order.
   if (intensity_ >= 3) {
-    std::vector<std::size_t> genericSections;
-    for (std::size_t i = 0; i < main->childCount(); ++i) {
-      const Node& child = main->child(i);
-      if (child.isElement() && child.name() == "section" &&
-          hasClassToken(child, "content")) {
-        genericSections.push_back(i);
-      }
-    }
-    // Remove from the back so indices stay valid.
-    for (auto it = genericSections.rbegin(); it != genericSections.rend();
-         ++it) {
-      main->removeChild(*it);
-      auto replacement = Node::makeElement("article");
-      replacement->setAttribute("class", "personal-feed");
-      replacement->appendChild(
-          makeTextElement("h2", "From your feed: " + randomTitle(stable)));
-      auto timeline = Node::makeElement("dl");
+    for (auto it = page.main.rbegin(); it != page.main.rend(); ++it) {
+      if (!it->contentSection) continue;
+      Block feed{"<article class=\"personal-feed\">", taint};
+      std::string& out = feed.html;
+      appendTextElement(out, "h2", "From your feed: " + randomTitle(stable));
+      out += "<dl>";
       for (int j = 0; j < 3; ++j) {
-        timeline->appendChild(makeTextElement("dt", randomTitle(stable)));
-        timeline->appendChild(
-            makeTextElement("dd", randomParagraph(stable, 1)));
+        appendTextElement(out, "dt", randomTitle(stable));
+        appendTextElement(out, "dd", randomParagraph(stable, 1));
       }
-      replacement->appendChild(std::move(timeline));
-      replacement->addTaintLabels(taint);
-      main->insertChild(*it, std::move(replacement));
+      out += "</dl></article>";
+      *it = std::move(feed);
     }
   }
 }
@@ -250,27 +194,21 @@ void SignUpWallBehavior::onRequest(const RenderContext& context,
 }
 
 void SignUpWallBehavior::render(const RenderContext& context,
-                                dom::Node& body) {
+                                PagePlan& page) {
   const provenance::LabelSet taint = context.taintFor(cookieName_);
   if (context.hasCookie(cookieName_)) {
     // Members get a small account toolbar.
-    if (Node* header = body.findFirst("header"); header != nullptr) {
-      auto toolbar = Node::makeElement("div");
-      toolbar->setAttribute("class", "account-bar");
-      toolbar->appendChild(Node::makeText("Signed in — account menu"));
-      toolbar->addTaintLabels(taint);
-      header->appendChild(std::move(toolbar));
-    }
+    page.header.push_back(
+        {"<div class=\"account-bar\">Signed in — account menu</div>",
+         taint});
     return;
   }
   // No account cookie: the entire content area becomes the sign-up wall.
   // The wall replaces <main> wholesale, so the whole emptied container is
   // a consequence of the cookie read.
-  if (Node* main = findMain(body); main != nullptr) {
-    main->clearChildren();
-    main->appendChild(makeSignUpForm(*context.stableRng));
-    main->addTaintLabels(taint);
-  }
+  page.main.clear();
+  page.main.push_back({makeSignUpForm(*context.stableRng)});
+  page.mainTaint |= taint;
 }
 
 // --- QueryCacheBehavior -----------------------------------------------------
@@ -295,30 +233,24 @@ void QueryCacheBehavior::onRequest(const RenderContext& context,
 }
 
 void QueryCacheBehavior::render(const RenderContext& context,
-                                dom::Node& body) {
-  Node* main = findMain(body);
-  if (main == nullptr) return;
+                                PagePlan& page) {
   const provenance::LabelSet taint = context.taintFor(cookieName_);
   if (context.hasCookie(cookieName_)) {
     // The cookie names the user's server-side result directory; the page
     // embeds the cached results instantly.
-    auto cached = Node::makeElement("section");
-    cached->setAttribute("class", "query-cache");
-    cached->appendChild(makeTextElement("h2", "Your recent query results"));
-    cached->appendChild(makeResultList(*context.stableRng, 8));
-    cached->appendChild(makeTextElement(
-        "p", "Served from your result cache for instant reuse."));
-    cached->addTaintLabels(taint);
-    main->insertChild(0, std::move(cached));
+    Block cached{"<section class=\"query-cache\">", taint};
+    appendTextElement(cached.html, "h2", "Your recent query results");
+    cached.html += makeResultList(*context.stableRng, 8);
+    appendTextElement(cached.html, "p",
+                      "Served from your result cache for instant reuse.");
+    cached.html += "</section>";
+    insertFirst(page.main, std::move(cached));
   } else {
-    auto placeholder = Node::makeElement("div");
-    placeholder->setAttribute("class", "query-pending");
-    placeholder->appendChild(
-        makeTextElement("h2", "Recomputing your results"));
-    placeholder->appendChild(makeTextElement(
-        "p", "No result cache found; queries must be executed again."));
-    placeholder->addTaintLabels(taint);
-    main->insertChild(0, std::move(placeholder));
+    insertFirst(page.main,
+                {"<div class=\"query-pending\"><h2>Recomputing your "
+                 "results</h2><p>No result cache found; queries must be "
+                 "executed again.</p></div>",
+                 taint});
   }
 }
 
@@ -327,65 +259,57 @@ void QueryCacheBehavior::render(const RenderContext& context,
 AdRotationNoise::AdRotationNoise(bool structuralVariation)
     : structuralVariation_(structuralVariation) {}
 
-void AdRotationNoise::render(const RenderContext& context, dom::Node& body) {
+void AdRotationNoise::render(const RenderContext& context, PagePlan& page) {
   util::Pcg32& rng = *context.fetchRng;
-  for (Node* slot : findByClass(body, "adslot")) {
-    slot->clearChildren();
+  page.forEachSlot(SlotKind::Ad, [&](std::string& slot) {
     const int shape =
         structuralVariation_ ? static_cast<int>(rng.uniform(0, 2)) : 0;
-    auto anchor = Node::makeElement("a");
-    anchor->setAttribute(
-        "href", "/ad/redirect" + std::to_string(rng.uniform(1, 999)));
-    anchor->appendChild(Node::makeText(randomAdCopy(rng)));
+    std::string anchor = "<a href=\"/ad/redirect";
+    anchor += std::to_string(rng.uniform(1, 999));
+    anchor += "\">";
+    appendText(anchor, randomAdCopy(rng));
+    anchor += "</a>";
     switch (shape) {
       case 0:
-        slot->appendChild(std::move(anchor));
+        slot = std::move(anchor);
         break;
-      case 1: {
-        slot->appendChild(std::move(anchor));
-        auto sponsor = Node::makeElement("span");
-        sponsor->setAttribute("class", "sponsor-tag");
-        sponsor->appendChild(Node::makeText("Sponsored"));
-        slot->appendChild(std::move(sponsor));
+      case 1:
+        slot = std::move(anchor);
+        slot += "<span class=\"sponsor-tag\">Sponsored</span>";
         break;
-      }
-      default: {
-        auto wrap = Node::makeElement("div");
-        wrap->setAttribute("class", "ad-wrap");
-        auto image = Node::makeElement("img");
-        image->setAttribute(
-            "src", "/assets/ad" + std::to_string(rng.uniform(1, 9)) + ".png");
-        wrap->appendChild(std::move(image));
-        wrap->appendChild(std::move(anchor));
-        slot->appendChild(std::move(wrap));
+      default:
+        slot = "<div class=\"ad-wrap\"><img src=\"/assets/ad";
+        slot += std::to_string(rng.uniform(1, 9));
+        slot += ".png\">";
+        slot += anchor;
+        slot += "</div>";
         break;
-      }
     }
-  }
+  });
 }
 
 // --- HeadlineRotationNoise --------------------------------------------------
 
 void HeadlineRotationNoise::render(const RenderContext& context,
-                                   dom::Node& body) {
+                                   PagePlan& page) {
   util::Pcg32& rng = *context.fetchRng;
-  for (Node* headline : findByClass(body, "rotating-headline")) {
-    setElementText(*headline, randomPhrase(rng, 5));
-  }
+  page.forEachSlot(SlotKind::Headline, [&](std::string& headline) {
+    headline.clear();
+    appendText(headline, randomPhrase(rng, 5));
+  });
 }
 
 // --- TimestampNoise ---------------------------------------------------------
 
-void TimestampNoise::render(const RenderContext& context, dom::Node& body) {
+void TimestampNoise::render(const RenderContext& context, PagePlan& page) {
+  if (!page.timestamp.has_value()) return;
   const auto totalSeconds = context.clock->nowMs() / 1000;
   char buffer[16];
   std::snprintf(buffer, sizeof(buffer), "%02d:%02d:%02d",
                 static_cast<int>((totalSeconds / 3600) % 24),
                 static_cast<int>((totalSeconds / 60) % 60),
                 static_cast<int>(totalSeconds % 60));
-  for (Node* stamp : findByClass(body, "timestamp")) {
-    setElementText(*stamp, buffer);
-  }
+  *page.timestamp = buffer;
 }
 
 // --- LayoutShuffleNoise -----------------------------------------------------
@@ -394,35 +318,31 @@ LayoutShuffleNoise::LayoutShuffleNoise(double probability, int variants)
     : probability_(probability), variants_(std::max(1, variants)) {}
 
 void LayoutShuffleNoise::render(const RenderContext& context,
-                                dom::Node& body) {
+                                PagePlan& page) {
   util::Pcg32& rng = *context.fetchRng;
   if (!rng.chance(probability_)) return;
-  Node* main = findMain(body);
-  if (main == nullptr || main->childCount() == 0) return;
+  std::vector<Block>& main = page.main;
+  if (main.empty()) return;
 
   // A structurally distinctive promo block lands at the top of <main>...
   const int variant = static_cast<int>(
       rng.uniform(0, static_cast<std::uint32_t>(variants_ - 1)));
-  main->insertChild(0, makePromoBlock(rng, variant));
+  insertFirst(main, {makePromoBlock(rng, variant)});
 
-  // ...and the remaining sections rotate (order matters to STM).
-  const std::size_t count = main->childCount();
+  // ...and the remaining sections rotate (order matters to STM): the promo
+  // stays first, the rest shift left by `shift`.
+  const std::size_t count = main.size();
   if (count > 2) {
     const std::size_t shift =
         1 + rng.uniform(0, static_cast<std::uint32_t>(count - 2));
-    std::vector<std::unique_ptr<Node>> rotated;
-    // Keep the promo (index 0) in place; rotate the rest.
-    std::vector<std::unique_ptr<Node>> rest;
-    while (main->childCount() > 1) {
-      rest.push_back(main->removeChild(1));
-    }
-    for (std::size_t i = 0; i < rest.size(); ++i) {
-      main->appendChild(std::move(rest[(i + shift) % rest.size()]));
-    }
+    std::rotate(main.begin() + 1,
+                main.begin() + 1 +
+                    static_cast<std::ptrdiff_t>(shift % (count - 1)),
+                main.end());
   }
   // Occasionally a whole section disappears for this fetch.
-  if (main->childCount() > 2 && rng.chance(0.5)) {
-    main->removeChild(main->childCount() - 1);
+  if (main.size() > 2 && rng.chance(0.5)) {
+    main.pop_back();
   }
 }
 

@@ -1,8 +1,10 @@
 // Per-request rendering context handed to site behaviors.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "net/http.h"
 #include "provenance/taint.h"
@@ -14,8 +16,9 @@ namespace cookiepicker::server {
 struct RenderContext {
   const net::HttpRequest* request = nullptr;
   std::string path;  // request path, e.g. "/page3"
-  // Cookies the client sent, name → value.
-  std::map<std::string, std::string> cookies;
+  // Cookies the client sent, name → value. The transparent comparator lets
+  // lookups take a string_view without building a std::string.
+  std::map<std::string, std::string, std::less<>> cookies;
   util::SimClock* clock = nullptr;
   // Fresh stream per fetch: noise sources draw from this, so two fetches of
   // the same page (e.g. the regular and the hidden copy) see different ads.
@@ -32,16 +35,17 @@ struct RenderContext {
 
   // Taint label for a cookie read; 0 when no recorder is attached, so
   // behaviors can mark unconditionally.
-  provenance::LabelSet taintFor(const std::string& name) const {
+  provenance::LabelSet taintFor(std::string_view name) const {
     return taint == nullptr ? 0 : taint->labelFor(name);
   }
 
-  bool hasCookie(const std::string& name) const {
+  bool hasCookie(std::string_view name) const {
     return cookies.contains(name);
   }
-  std::string cookieValue(const std::string& name) const {
+  // Empty when absent; the view lives as long as the context.
+  std::string_view cookieValue(std::string_view name) const {
     const auto it = cookies.find(name);
-    return it == cookies.end() ? std::string() : it->second;
+    return it == cookies.end() ? std::string_view() : it->second;
   }
 };
 

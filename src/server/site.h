@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "dom/node.h"
 #include "net/network.h"
 #include "server/behaviors.h"
 #include "util/clock.h"
@@ -42,7 +41,7 @@ class WebSite : public net::HttpHandler {
   WebSite(SiteConfig config, util::SimClock& clock);
 
   // Behaviors run in registration order; later render() calls see earlier
-  // mutations.
+  // edits to the page plan.
   void addBehavior(std::unique_ptr<SiteBehavior> behavior);
 
   net::HttpResponse handle(const net::HttpRequest& request) override;
@@ -57,8 +56,7 @@ class WebSite : public net::HttpHandler {
                               RenderContext& context);
   net::HttpResponse serveAsset(const net::HttpRequest& request,
                                RenderContext& context);
-  std::unique_ptr<dom::Node> buildDocument(const std::string& path,
-                                           util::Pcg32& stableRng);
+  PagePlan planPage(const std::string& path, util::Pcg32& stableRng) const;
 
   SiteConfig config_;
   util::SimClock& clock_;

@@ -182,5 +182,31 @@ TEST(EventLoop, StopFromAnotherThreadUnblocksWait) {
   SUCCEED();
 }
 
+// A stop() that lands before the loop thread has entered run() must not be
+// lost: destroying a LoopThread straight after constructing it used to hang
+// in join() when the destructor won that race. ctest's TIMEOUT turns a
+// regression into a failure rather than a stuck suite.
+TEST(EventLoop, LoopThreadDestroyedAtOnceNeverHangs) {
+  for (int i = 0; i < 1000; ++i) {
+    LoopThread thread;
+  }
+  SUCCEED();
+}
+
+TEST(EventLoop, RunAfterStopReturnsThenLoopIsReRunnable) {
+  EventLoop loop;
+  loop.stop();
+  loop.run();  // the early stop ends this run at once
+  EXPECT_FALSE(loop.running());
+  std::promise<void> ran;
+  loop.post([&] {
+    ran.set_value();
+    loop.stop();
+  });
+  loop.run();  // the flag was cleared on exit, so this run serves the post
+  ran.get_future().get();
+  SUCCEED();
+}
+
 }  // namespace
 }  // namespace cookiepicker::serve

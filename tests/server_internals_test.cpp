@@ -5,8 +5,8 @@
 
 #include <cctype>
 #include <set>
+#include <vector>
 
-#include "dom/select.h"
 #include "dom/serialize.h"
 #include "html/parser.h"
 #include "server/fragments.h"
@@ -68,17 +68,73 @@ TEST(Words, AdCopyLooksLikeAdCopy) {
 
 // --- fragments --------------------------------------------------------------
 
+// Fragments are bytes; the assertions below read them back through the
+// parser and walk the resulting tree.
+
+bool hasClass(const dom::Node& node, const std::string& token) {
+  for (const std::string& existing :
+       util::splitWhitespace(node.attribute("class").value_or(""))) {
+    if (existing == token) return true;
+  }
+  return false;
+}
+
+// Descendants of `root` named `tag` whose `name` attribute equals `value`
+// (any value when `name` is empty).
+std::vector<const dom::Node*> findAllWith(const dom::Node& root,
+                                          const std::string& tag,
+                                          const std::string& name = "",
+                                          const std::string& value = "") {
+  std::vector<const dom::Node*> found;
+  for (const dom::Node* node : root.findAll(tag)) {
+    if (name.empty() || node->attribute(name) == value) found.push_back(node);
+  }
+  return found;
+}
+
+// Element children of `parent` named `tag`.
+std::vector<const dom::Node*> childElements(const dom::Node& parent,
+                                            const std::string& tag) {
+  std::vector<const dom::Node*> found;
+  for (const auto& child : parent.children()) {
+    if (child->isElement() && child->name() == tag) found.push_back(child.get());
+  }
+  return found;
+}
+
+std::string sectionHtml(const Block& section) {
+  std::string html;
+  section.appendTo(html, nullptr);
+  return html;
+}
+
 TEST(Fragments, ContentSectionShape) {
   util::Pcg32 rng(3, 1);
-  auto section = makeContentSection(rng, /*paragraphs=*/2, /*adSlots=*/2,
-                                    /*rotatingHeadline=*/true);
+  const Block block = makeContentSection(rng, /*paragraphs=*/2,
+                                         /*adSlots=*/2,
+                                         /*rotatingHeadline=*/true);
+  EXPECT_TRUE(block.contentSection);
+  auto document = html::parseHtml(sectionHtml(block));
+  const dom::Node* section = document->findFirst("section");
+  ASSERT_NE(section, nullptr);
   EXPECT_EQ(section->name(), "section");
-  EXPECT_EQ(dom::select(*section, "h2").size(), 1u);
-  EXPECT_EQ(dom::select(*section, "h3.rotating-headline").size(), 1u);
-  EXPECT_EQ(dom::select(*section, "p").size(), 2u);
-  EXPECT_EQ(dom::select(*section, "div.inner > div.adslot").size(), 2u);
+  EXPECT_EQ(section->findAll("h2").size(), 1u);
+  int headlines = 0;
+  for (const dom::Node* heading : section->findAll("h3")) {
+    if (hasClass(*heading, "rotating-headline")) ++headlines;
+  }
+  EXPECT_EQ(headlines, 1);
+  EXPECT_EQ(section->findAll("p").size(), 2u);
+  std::vector<const dom::Node*> slots;
+  for (const dom::Node* div : section->findAll("div")) {
+    if (!hasClass(*div, "inner")) continue;
+    for (const dom::Node* child : childElements(*div, "div")) {
+      if (hasClass(*child, "adslot")) slots.push_back(child);
+    }
+  }
+  EXPECT_EQ(slots.size(), 2u);
   // Ad slots start empty (noise behaviors fill them per fetch).
-  for (const dom::Node* slot : dom::select(*section, ".adslot")) {
+  for (const dom::Node* slot : slots) {
     EXPECT_EQ(slot->childCount(), 0u);
   }
 }
@@ -87,12 +143,21 @@ TEST(Fragments, AdSlotDepthIsBelowDefaultLevelCut) {
   // The slot must sit deeper than RSTM's l=5 window when mounted at the
   // standard body>div#page>main chain (design decision 1).
   util::Pcg32 rng(3, 1);
-  auto section = makeContentSection(rng, 1, 1, false);
-  // Depth of adslot inside the section subtree:
-  const dom::Node* slot = dom::selectFirst(*section, ".adslot");
+  auto document =
+      html::parseHtml(sectionHtml(makeContentSection(rng, 1, 1, false)));
+  const dom::Node* section = document->findFirst("section");
+  ASSERT_NE(section, nullptr);
+  const dom::Node* slot = nullptr;
+  for (const dom::Node* div : section->findAll("div")) {
+    if (hasClass(*div, "adslot")) {
+      slot = div;
+      break;
+    }
+  }
   ASSERT_NE(slot, nullptr);
+  // Depth of adslot inside the section subtree:
   int depth = 0;
-  for (const dom::Node* node = slot; node != section.get();
+  for (const dom::Node* node = slot; node != section;
        node = node->parent()) {
     ++depth;
   }
@@ -102,38 +167,65 @@ TEST(Fragments, AdSlotDepthIsBelowDefaultLevelCut) {
 
 TEST(Fragments, SidebarAndResultListShapes) {
   util::Pcg32 rng(4, 1);
-  auto sidebar = makeSidebar(rng, "Topics", 5);
-  EXPECT_EQ(dom::select(*sidebar, "ul > li").size(), 5u);
+  auto sidebar = html::parseHtml(makeSidebar(rng, "Topics", 5));
+  const dom::Node* list = sidebar->findFirst("ul");
+  ASSERT_NE(list, nullptr);
+  EXPECT_EQ(childElements(*list, "li").size(), 5u);
   EXPECT_NE(sidebar->textContent().find("Topics"), std::string::npos);
 
-  auto results = makeResultList(rng, 7);
-  EXPECT_EQ(dom::select(*results, "ol > li").size(), 7u);
+  auto results = html::parseHtml(makeResultList(rng, 7));
+  const dom::Node* ordered = results->findFirst("ol");
+  ASSERT_NE(ordered, nullptr);
+  EXPECT_EQ(childElements(*ordered, "li").size(), 7u);
 }
 
 TEST(Fragments, SignUpFormHasFields) {
   util::Pcg32 rng(6, 1);
-  auto form = makeSignUpForm(rng);
-  EXPECT_EQ(dom::select(*form, "input[name=username]").size(), 1u);
-  EXPECT_EQ(dom::select(*form, "input[type=password]").size(), 1u);
-  EXPECT_EQ(dom::select(*form, "input[type=submit]").size(), 1u);
+  auto form = html::parseHtml(makeSignUpForm(rng));
+  EXPECT_EQ(findAllWith(*form, "input", "name", "username").size(), 1u);
+  EXPECT_EQ(findAllWith(*form, "input", "type", "password").size(), 1u);
+  EXPECT_EQ(findAllWith(*form, "input", "type", "submit").size(), 1u);
   EXPECT_NE(form->textContent().find("Create your account"),
             std::string::npos);
 }
 
 TEST(Fragments, PromoVariantsStructurallyDistinct) {
   util::Pcg32 rng(8, 1);
-  auto variant0 = makePromoBlock(rng, 0);
-  auto variant1 = makePromoBlock(rng, 1);
-  auto variant2 = makePromoBlock(rng, 2);
-  EXPECT_NE(dom::structureSignature(*variant0),
-            dom::structureSignature(*variant1));
-  EXPECT_NE(dom::structureSignature(*variant1),
-            dom::structureSignature(*variant2));
+  auto variant0 = html::parseHtml(makePromoBlock(rng, 0));
+  auto variant1 = html::parseHtml(makePromoBlock(rng, 1));
+  auto variant2 = html::parseHtml(makePromoBlock(rng, 2));
+  const dom::Node* promo0 = variant0->findFirst("div");
+  const dom::Node* promo1 = variant1->findFirst("div");
+  const dom::Node* promo2 = variant2->findFirst("div");
+  ASSERT_NE(promo0, nullptr);
+  ASSERT_NE(promo1, nullptr);
+  ASSERT_NE(promo2, nullptr);
+  EXPECT_NE(dom::structureSignature(*promo0),
+            dom::structureSignature(*promo1));
+  EXPECT_NE(dom::structureSignature(*promo1),
+            dom::structureSignature(*promo2));
   // None of them carries an ad-filter-triggering class.
-  for (const auto* promo : {variant0.get(), variant1.get(), variant2.get()}) {
+  for (const dom::Node* promo : {promo0, promo1, promo2}) {
     EXPECT_EQ(promo->attribute("class").value_or("").find("promo"),
               std::string::npos);
   }
+}
+
+TEST(Fragments, EscapingMatchesTheSerializer) {
+  // Text escapes & < > and attribute values & " < — byte for byte what
+  // dom::toHtml writes for the same tree.
+  const std::string raw = "a&b<c>d\"e";
+  std::string text;
+  appendText(text, raw);
+  std::string attribute;
+  appendAttributeValue(attribute, raw);
+  auto element = dom::Node::makeElement("p");
+  element->setAttribute("title", raw);
+  element->appendChild(dom::Node::makeText(raw));
+  EXPECT_EQ("<p title=\"" + attribute + "\">" + text + "</p>",
+            dom::toHtml(*element));
+  EXPECT_EQ(text, "a&amp;b&lt;c&gt;d\"e");
+  EXPECT_EQ(attribute, "a&amp;b&lt;c>d&quot;e");
 }
 
 // --- lifetimes ----------------------------------------------------------------
@@ -171,10 +263,8 @@ TEST(WebSiteInternals, BehaviorsRunInRegistrationOrder) {
 
   struct Stamper : SiteBehavior {
     explicit Stamper(std::string tag) : tag_(std::move(tag)) {}
-    void render(const RenderContext&, dom::Node& body) override {
-      auto marker = dom::Node::makeElement("span");
-      marker->setAttribute("class", "stamp-" + tag_);
-      body.appendChild(std::move(marker));
+    void render(const RenderContext&, PagePlan& page) override {
+      page.header.push_back({"<span class=\"stamp-" + tag_ + "\"></span>"});
     }
     std::string tag_;
   };
@@ -184,14 +274,14 @@ TEST(WebSiteInternals, BehaviorsRunInRegistrationOrder) {
   net::HttpRequest request;
   request.url = *net::Url::parse("http://order.example/");
   auto document = html::parseHtml(site.handle(request).body);
-  const dom::Node* body = document->findFirst("body");
-  ASSERT_NE(body, nullptr);
-  ASSERT_GE(body->childCount(), 2u);
-  EXPECT_EQ(body->child(body->childCount() - 2)
+  const dom::Node* header = document->findFirst("header");
+  ASSERT_NE(header, nullptr);
+  ASSERT_GE(header->childCount(), 2u);
+  EXPECT_EQ(header->child(header->childCount() - 2)
                 .attribute("class")
                 .value_or(""),
             "stamp-first");
-  EXPECT_EQ(body->child(body->childCount() - 1)
+  EXPECT_EQ(header->child(header->childCount() - 1)
                 .attribute("class")
                 .value_or(""),
             "stamp-second");
@@ -224,7 +314,7 @@ TEST(WebSiteInternals, PixelImagesMatchConfiguredTrackerCount) {
   net::HttpRequest request;
   request.url = *net::Url::parse("http://px.example/");
   auto document = html::parseHtml(site.handle(request).body);
-  EXPECT_EQ(dom::select(*document, "img[width=1]").size(), 3u);
+  EXPECT_EQ(findAllWith(*document, "img", "width", "1").size(), 3u);
 }
 
 TEST(WebSiteInternals, HeadHasStylesheetAndScript) {
@@ -238,9 +328,18 @@ TEST(WebSiteInternals, HeadHasStylesheetAndScript) {
   net::HttpRequest request;
   request.url = *net::Url::parse("http://head.example/");
   auto document = html::parseHtml(site.handle(request).body);
-  EXPECT_EQ(dom::select(*document, "head > link[rel=stylesheet]").size(),
-            1u);
-  EXPECT_EQ(dom::select(*document, "head > script[src]").size(), 1u);
+  const dom::Node* head = document->findFirst("head");
+  ASSERT_NE(head, nullptr);
+  int stylesheets = 0;
+  for (const dom::Node* link : childElements(*head, "link")) {
+    if (link->attribute("rel") == "stylesheet") ++stylesheets;
+  }
+  EXPECT_EQ(stylesheets, 1);
+  int scripts = 0;
+  for (const dom::Node* script : childElements(*head, "script")) {
+    if (script->hasAttribute("src")) ++scripts;
+  }
+  EXPECT_EQ(scripts, 1);
   EXPECT_NE(document->findFirst("title"), nullptr);
 }
 
