@@ -61,6 +61,8 @@ struct FleetRunOptions {
   // Off by default — the attribution-off differential pin depends on the
   // default run carrying zero provenance artifacts.
   core::AttributionMode attribution = core::AttributionMode::Off;
+  // FORCUM's second hidden copy before a cookie-caused verdict marks.
+  bool consistencyReprobe = false;
   std::shared_ptr<const faults::FaultPlan> faultPlan;
   // Durable state store the fleet should write through / recover from
   // (null = no durability). Owned by the caller, who also owns any crash
@@ -81,6 +83,7 @@ inline fleet::FleetReport runMeasurementFleet(
   config.seed = options.seed;
   config.picker.autoEnforce = options.autoEnforce;
   config.picker.forcum.attribution = options.attribution;
+  config.picker.forcum.consistencyReprobe = options.consistencyReprobe;
   config.collectObservability = options.collectObservability;
   config.stateStore = options.stateStore;
   fleet::TrainingFleet trainingFleet(network, config);
