@@ -27,10 +27,9 @@ namespace cookiepicker::browser {
 //
 //  * Streaming (the default): the tokenizer feeds html::StreamingSnapshot-
 //    Builder directly — one pass, no dom::Node tree is ever built, and
-//    PageView::document / HiddenFetchResult::document stay null. Consumers
-//    that genuinely need a node tree (the DecisionConfig::useSnapshotFastPath
-//    escape hatch, audit evidence collection, the Doppelganger baseline)
-//    re-parse the retained HTML lazily.
+//    PageView::document / HiddenFetchResult::document stay null. FORCUM
+//    decides and gathers audit evidence from the snapshots alone; only the
+//    Doppelganger baseline re-parses the retained HTML into a node tree.
 //  * Reference: the original parseHtml + TreeSnapshot(Node) pipeline. Kept
 //    as the differential-testing and A/B-measurement twin; both modes
 //    produce byte-identical snapshots and subresource lists (pinned by

@@ -13,6 +13,7 @@
 
 #include "core/decision.h"
 #include "dom/node.h"
+#include "dom/snapshot.h"
 
 namespace cookiepicker::core {
 
@@ -50,6 +51,19 @@ DifferenceExplanation explainDifference(const dom::Node& regularDocument,
 void collectDifferenceEvidence(const dom::Node& regularDocument,
                                const dom::Node& hiddenDocument,
                                const ExplainOptions& options,
+                               DifferenceExplanation& explanation);
+
+// The same four lists, byte for byte, gathered from the snapshots a view
+// already carries: structure paths from the visible rows' interned
+// ancestor chains, text from the CVCE features plus the snapshot text
+// arena. Strings are rendered only for entries that end up as evidence.
+// Byte-identical to the node-tree overload while tag names contain no ':'
+// (the ContextInterner caveat). Reuses `scratch` for the CVCE extraction
+// (its feature sets are overwritten).
+void collectDifferenceEvidence(const dom::TreeSnapshot& regularSnapshot,
+                               const dom::TreeSnapshot& hiddenSnapshot,
+                               const ExplainOptions& options,
+                               DetectionScratch& scratch,
                                DifferenceExplanation& explanation);
 
 }  // namespace cookiepicker::core

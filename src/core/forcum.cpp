@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "core/explain.h"
-#include "html/parser.h"
 #include "obs/recorder.h"
 #include "util/clock.h"
 #include "util/strings.h"
@@ -473,14 +472,6 @@ void ForcumEngine::runAttribution(const browser::PageView& view,
   // common case). Marking without the confirm would trust taint alone;
   // confirming keeps the verdict grounded in the paper's regular-vs-hidden
   // comparison, so a taint bug can cost rounds but never mis-mark.
-  std::unique_ptr<dom::Node> lazyRegular;
-  const auto regularDocument = [&]() -> const dom::Node& {
-    if (view.document != nullptr) return *view.document;
-    if (lazyRegular == nullptr) {
-      lazyRegular = html::parseHtml(view.containerHtml);
-    }
-    return *lazyRegular;
-  };
   for (const CookieKey& key : nominated) {
     browser::HiddenFetchResult confirm = browser_.hiddenFetch(
         view,
@@ -489,28 +480,15 @@ void ForcumEngine::runAttribution(const browser::PageView& view,
     obs::count(obs::Counter::AttributionConfirmStrips);
     report.hiddenLatencyMs += confirm.latencyMs;
     report.hiddenAttempts += confirm.attempts;
-    if (!confirm.usable() ||
-        (confirm.document == nullptr && confirm.snapshot == nullptr)) {
+    if (!confirm.usable() || confirm.snapshot == nullptr) {
       // Degraded confirm: this nomination marks nothing. Training stays
       // active, so an honest retry happens on a later view.
       report.attributionFallback = "confirm-degraded:" + failureLabel(confirm);
       continue;
     }
     ++state.hiddenRequests;
-    const bool fastPath = config_.decision.useSnapshotFastPath &&
-                          view.snapshot != nullptr &&
-                          confirm.snapshot != nullptr;
-    std::unique_ptr<dom::Node> lazyConfirm;
-    const DecisionResult verdict =
-        fastPath
-            ? decideCookieUsefulness(*view.snapshot, *confirm.snapshot,
-                                     scratch_, config_.decision)
-            : decideCookieUsefulness(
-                  regularDocument(),
-                  confirm.document != nullptr
-                      ? *confirm.document
-                      : *(lazyConfirm = html::parseHtml(confirm.html)),
-                  config_.decision);
+    const DecisionResult verdict = decideCookieUsefulness(
+        *view.snapshot, *confirm.snapshot, scratch_, config_.decision);
     if (!verdict.causedByCookies) continue;
     const CookieRecord* record = browser_.jar().find(key);
     if (record != nullptr && !record->useful) {
@@ -538,11 +516,9 @@ ForcumStepReport ForcumEngine::runStep(const browser::PageView& view,
 
   // Only real container documents are trained on: an error page (5xx/4xx
   // from a transient failure) compared against a healthy hidden copy would
-  // mark every cookie in sight. Degrade to a counter-neutral skip. A view
-  // carries a snapshot (streaming mode) or a document (reference mode);
-  // either proves the container parsed.
-  if (view.status != 200 ||
-      (view.document == nullptr && view.snapshot == nullptr)) {
+  // mark every cookie in sight. Degrade to a counter-neutral skip. The
+  // view's snapshot (attached in both DomModes) proves the container parsed.
+  if (view.status != 200 || view.snapshot == nullptr) {
     report.skipped = true;
     report.skipReason = "container-error";
     obs::count(obs::Counter::ForcumStepsSkipped);
@@ -594,8 +570,7 @@ ForcumStepReport ForcumEngine::runStep(const browser::PageView& view,
   report.hiddenAttempts = hidden.attempts;
   report.testedGroup.assign(group.begin(), group.end());
 
-  if (!hidden.usable() ||
-      (hidden.document == nullptr && hidden.snapshot == nullptr)) {
+  if (!hidden.usable() || hidden.snapshot == nullptr) {
     // The hidden copy never usably arrived (retries exhausted, error
     // status, truncated body): no decision this round. The state counters
     // stay untouched — only usable hidden rounds count — and the skip
@@ -629,34 +604,11 @@ ForcumStepReport ForcumEngine::runStep(const browser::PageView& view,
   }
   ++state.hiddenRequests;
 
-  // Fast path: both copies were flattened at parse time, so the decision
-  // runs over snapshot arrays with this engine's reusable scratch. The
-  // reference dom::Node path stays reachable via the config escape hatch
-  // (and as the fallback when a caller hands in views without snapshots).
-  // Streaming-mode views carry no node tree at all, so the reference path
-  // — the escape hatch and the audit evidence diff below — re-parses the
-  // retained HTML lazily, at most once per copy per step.
-  std::unique_ptr<dom::Node> lazyRegular;
-  std::unique_ptr<dom::Node> lazyHidden;
-  const auto regularDocument = [&]() -> const dom::Node& {
-    if (view.document != nullptr) return *view.document;
-    if (lazyRegular == nullptr) {
-      lazyRegular = html::parseHtml(view.containerHtml);
-    }
-    return *lazyRegular;
-  };
-  const auto hiddenDocument = [&]() -> const dom::Node& {
-    if (hidden.document != nullptr) return *hidden.document;
-    if (lazyHidden == nullptr) lazyHidden = html::parseHtml(hidden.html);
-    return *lazyHidden;
-  };
-  const bool fastPath = config_.decision.useSnapshotFastPath &&
-                        view.snapshot != nullptr && hidden.snapshot != nullptr;
-  report.decision =
-      fastPath ? decideCookieUsefulness(*view.snapshot, *hidden.snapshot,
-                                        scratch_, config_.decision)
-               : decideCookieUsefulness(regularDocument(), hiddenDocument(),
-                                        config_.decision);
+  // Both copies were flattened at parse time, so the decision — and the
+  // audit evidence below — runs over snapshot arrays with this engine's
+  // reusable scratch. No node tree is ever built here.
+  report.decision = decideCookieUsefulness(*view.snapshot, *hidden.snapshot,
+                                           scratch_, config_.decision);
   // The raw Figure-5 verdict, before any veto overwrites it — the audit
   // trail records this (its rederivation invariant depends on it).
   const bool rawVerdict = report.decision.causedByCookies;
@@ -670,8 +622,7 @@ ForcumStepReport ForcumEngine::runStep(const browser::PageView& view,
         });
     report.hiddenLatencyMs += reprobe.latencyMs;
     report.hiddenAttempts += reprobe.attempts;
-    if (!reprobe.usable() ||
-        (reprobe.document == nullptr && reprobe.snapshot == nullptr)) {
+    if (!reprobe.usable() || reprobe.snapshot == nullptr) {
       // The confirming copy never arrived. Marking on an unconfirmed
       // verdict would defeat the re-probe's purpose, so the marking is
       // vetoed and the step degrades (the audit record keeps the real
@@ -689,19 +640,8 @@ ForcumStepReport ForcumEngine::runStep(const browser::PageView& view,
       DecisionConfig agreementConfig = config_.decision;
       agreementConfig.mode = DecisionMode::Either;
       agreementConfig.sameContextCredit = false;
-      std::unique_ptr<dom::Node> lazyReprobe;
-      const auto reprobeDocument = [&]() -> const dom::Node& {
-        if (reprobe.document != nullptr) return *reprobe.document;
-        if (lazyReprobe == nullptr) lazyReprobe = html::parseHtml(reprobe.html);
-        return *lazyReprobe;
-      };
-      const DecisionResult agreement =
-          (agreementConfig.useSnapshotFastPath &&
-           hidden.snapshot != nullptr && reprobe.snapshot != nullptr)
-              ? decideCookieUsefulness(*hidden.snapshot, *reprobe.snapshot,
-                                       scratch_, agreementConfig)
-              : decideCookieUsefulness(hiddenDocument(), reprobeDocument(),
-                                       agreementConfig);
+      const DecisionResult agreement = decideCookieUsefulness(
+          *hidden.snapshot, *reprobe.snapshot, scratch_, agreementConfig);
       report.reprobeRan = true;
       report.reprobeAgreement = agreement;
       if (agreement.causedByCookies) {
@@ -806,15 +746,15 @@ ForcumStepReport ForcumEngine::runStep(const browser::PageView& view,
       record.attributionConfirmStrips = report.attributionConfirmStrips;
     }
     if (report.decision.causedByCookies) {
-      // Evidence costs a reference-path diff, so it is gathered only for
-      // the verdicts a user would ask about — the ones that marked (or
-      // would have marked) cookies.
+      // Evidence renders strings, so it is gathered only for the verdicts
+      // a user would ask about — the ones that marked (or would have
+      // marked) cookies.
       ExplainOptions explainOptions;
       explainOptions.decision = config_.decision;
       DifferenceExplanation evidence;
       evidence.decision = report.decision;
-      collectDifferenceEvidence(regularDocument(), hiddenDocument(),
-                                explainOptions, evidence);
+      collectDifferenceEvidence(*view.snapshot, *hidden.snapshot,
+                                explainOptions, scratch_, evidence);
       record.evidenceStructureRegular =
           std::move(evidence.structureOnlyInRegular);
       record.evidenceStructureHidden =

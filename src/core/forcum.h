@@ -3,7 +3,7 @@
 //
 // For each page view during training, the engine: (1) takes the saved
 // container request, (2) sends the hidden request with the tested cookie
-// group stripped, (3) builds the hidden DOM tree with the shared parser,
+// group stripped, (3) flattens the hidden copy with the regular copy's parser,
 // (4) runs the decision algorithms, and (5) marks the stripped cookies
 // useful when the difference is attributed to them. Per-site training state
 // tracks when the useful marks are "relatively stable", after which the

@@ -48,23 +48,53 @@ std::uint64_t packContextKey(ContextId parent, bool seeded, SymbolId tag) {
 }  // namespace
 
 ContextId ContextInterner::seed(SymbolId tag) {
-  return internKey(packContextKey(kEmpty, /*seeded=*/true, tag));
+  return internKey(kEmpty, /*seeded=*/true, tag);
 }
 
 ContextId ContextInterner::extend(ContextId parent, SymbolId tag) {
-  return internKey(packContextKey(parent, /*seeded=*/false, tag));
+  return internKey(parent, /*seeded=*/false, tag);
 }
 
-ContextId ContextInterner::internKey(std::uint64_t key) {
+ContextId ContextInterner::internKey(ContextId parent, bool seeded,
+                                     SymbolId tag) {
+  const std::uint64_t key = packContextKey(parent, seeded, tag);
   {
     std::shared_lock lock(mutex_);
     const auto it = ids_.find(key);
     if (it != ids_.end()) return it->second;
   }
   std::unique_lock lock(mutex_);
-  const auto [it, inserted] = ids_.emplace(key, next_);
-  if (inserted) ++next_;
+  const auto next = static_cast<ContextId>(entries_.size());
+  const auto [it, inserted] = ids_.emplace(key, next);
+  if (inserted) entries_.push_back({parent, seeded, tag});
   return it->second;
+}
+
+std::string ContextInterner::render(ContextId id,
+                                    std::string_view separator) const {
+  // Walk up to the seed (or the empty path), collecting tags leaf first.
+  std::vector<SymbolId> tags;
+  bool seeded = false;
+  {
+    std::shared_lock lock(mutex_);
+    while (id != kEmpty && id < entries_.size()) {
+      const Entry& entry = entries_[id];
+      tags.push_back(entry.tag);
+      if (entry.seeded) {
+        seeded = true;
+        break;
+      }
+      id = entry.parent;
+    }
+  }
+  const SymbolInterner& symbols = globalSymbolInterner();
+  std::string out;
+  for (auto it = tags.rbegin(); it != tags.rend(); ++it) {
+    // Only a seeded first component goes without a leading separator.
+    if (it != tags.rbegin() || !seeded) out += separator;
+    out += symbols.name(*it);
+  }
+  return out;
 }
 
 std::size_t ContextInterner::size() const {

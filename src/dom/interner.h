@@ -58,7 +58,8 @@ class SymbolInterner {
 // when the comparison root is not an element) is kEmpty. Mirrors the
 // reference CVCE context strings one-to-one as long as tag names contain no
 // ':' — true for everything the HTML tokenizer emits lowercase, and the
-// differential test pins the equivalence.
+// differential test pins the equivalence. Each id also remembers how it was
+// built, so render() can turn it back into the reference string.
 class ContextInterner {
  public:
   static constexpr ContextId kEmpty = 0;
@@ -69,14 +70,28 @@ class ContextInterner {
   // yields the reference path ":tag" — distinct from seed(tag)'s "tag".
   ContextId extend(ContextId parent, SymbolId tag);
 
+  // The path `id` names, its tag names (global SymbolInterner ids) joined by
+  // `separator`: render(seed(a)) is "a", render(extend(seed(a), b)) is
+  // "a<sep>b", render(extend(kEmpty, b)) is "<sep>b", render(kEmpty) is "".
+  // Allocates; meant for evidence rendering, not the detection hot path.
+  std::string render(ContextId id, std::string_view separator) const;
+
   std::size_t size() const;
 
  private:
-  ContextId internKey(std::uint64_t key);
+  // How an id was built: seed(tag), or extend(parent, tag).
+  struct Entry {
+    ContextId parent = kEmpty;
+    bool seeded = false;
+    SymbolId tag = 0;
+  };
+
+  ContextId internKey(ContextId parent, bool seeded, SymbolId tag);
 
   mutable std::shared_mutex mutex_;
   std::unordered_map<std::uint64_t, ContextId> ids_;
-  ContextId next_ = 1;  // 0 is kEmpty
+  // Indexed by id; entries_[kEmpty] is a placeholder.
+  std::vector<Entry> entries_ = std::vector<Entry>(1);
 };
 
 SymbolInterner& globalSymbolInterner();

@@ -27,7 +27,7 @@ TreeSnapshot::TreeSnapshot(const Node& root, bool stampTaint)
   subtreeEnd_.reserve(count);
   levels_.reserve(count);
   flags_.reserve(count);
-  textHashes_.reserve(count);
+  texts_.reserve(count);
   if (stampTaint_) taintSets_.reserve(count);
 
   flatten(root, 0, 0);
@@ -75,7 +75,7 @@ std::uint32_t TreeSnapshot::flatten(const Node& node, std::int32_t level,
   levels_.push_back(level);
 
   std::uint16_t flags = 0;
-  std::uint64_t textHash = 0;
+  std::string collapsed;
   if (node.isElement()) {
     flags |= kElement;
     const std::string& tag = node.name();
@@ -91,19 +91,19 @@ std::uint32_t TreeSnapshot::flatten(const Node& node, std::int32_t level,
     }
   } else if (node.isText()) {
     flags |= kText;
-    const std::string collapsed = util::collapseWhitespace(node.value());
+    collapsed = util::collapseWhitespace(node.value());
     if (!collapsed.empty()) {
       flags |= kTextNonEmpty;
       if (util::hasAlphanumeric(collapsed)) flags |= kTextHasAlnum;
       if (util::looksLikeDateOrTime(collapsed)) flags |= kTextDateLike;
-      textHash = util::fnv1a64(collapsed);
     }
   } else if (node.isComment()) {
     flags |= kComment;
   }
   if (nodeVisibleStructural(node)) flags |= kVisibleStructural;
   flags_.push_back(flags);
-  textHashes_.push_back(textHash);
+  texts_.emplace_back();
+  setText(index, collapsed);
 
   for (const auto& child : node.children()) {
     flatten(*child, level + 1, effectiveTaint);
@@ -112,12 +112,21 @@ std::uint32_t TreeSnapshot::flatten(const Node& node, std::int32_t level,
   return index;
 }
 
+void TreeSnapshot::setText(std::uint32_t i, std::string_view collapsed) {
+  if (collapsed.empty()) return;
+  TextRow& row = texts_[i];
+  row.hash = util::fnv1a64(collapsed);
+  row.offset = static_cast<std::uint32_t>(textArena_.size());
+  row.length = static_cast<std::uint32_t>(collapsed.size());
+  textArena_.append(collapsed);
+}
+
 std::size_t TreeSnapshot::memoryBytes() const {
   return symbols_.capacity() * sizeof(SymbolId) +
          subtreeEnd_.capacity() * sizeof(std::uint32_t) +
          levels_.capacity() * sizeof(std::int32_t) +
          flags_.capacity() * sizeof(std::uint16_t) +
-         textHashes_.capacity() * sizeof(std::uint64_t) +
+         texts_.capacity() * sizeof(TextRow) + textArena_.capacity() +
          childOffset_.capacity() * sizeof(std::uint32_t) +
          childIndex_.capacity() * sizeof(std::uint32_t) +
          taintSets_.capacity() * sizeof(provenance::TaintSetId);

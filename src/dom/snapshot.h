@@ -6,7 +6,8 @@
 // spans, depth, and the per-node predicates RSTM and CVCE would otherwise
 // recompute from strings on every comparison (visibility, script/option
 // tags, ad-container class/id heuristic, text noise filters, a 64-bit
-// FNV-1a hash of each text node's collapsed content). Built exactly once
+// FNV-1a hash of each text node's collapsed content, and the collapsed
+// content itself in one per-snapshot text arena). Built exactly once
 // per document — at parse time, cached on the PageView — and then read by
 // every detection step over that document with integer compares and zero
 // further allocation.
@@ -23,6 +24,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "dom/interner.h"
@@ -93,7 +96,14 @@ class TreeSnapshot {
     return flag(i, kTextDateLike);
   }
   // FNV-1a 64 of the collapsed text (0 for non-text nodes).
-  std::uint64_t textHash(std::uint32_t i) const { return textHashes_[i]; }
+  std::uint64_t textHash(std::uint32_t i) const { return texts_[i].hash; }
+  // The collapsed text itself (empty for non-text nodes) — the bytes
+  // textHash() hashes, viewed in the snapshot's text arena. Audit evidence
+  // renders context-content strings from it without re-parsing the page.
+  std::string_view text(std::uint32_t i) const {
+    return std::string_view(textArena_).substr(texts_[i].offset,
+                                               texts_[i].length);
+  }
 
   // --- taint provenance (attribution tier) --------------------------------
   // Per-row interned label-set stamps. Present only when a producer was
@@ -138,6 +148,18 @@ class TreeSnapshot {
   std::uint32_t flatten(const Node& node, std::int32_t level,
                         std::uint32_t inheritedTaint);
 
+  // Records `collapsed` as row i's text: hash, and a slice appended to the
+  // text arena. Both producers call it with the same bytes in row order.
+  void setText(std::uint32_t i, std::string_view collapsed);
+
+  // Per-row text: hash of the collapsed content plus its slice of
+  // textArena_ (zero length for non-text and empty-text rows).
+  struct TextRow {
+    std::uint64_t hash = 0;
+    std::uint32_t offset = 0;
+    std::uint32_t length = 0;
+  };
+
   // Derives child spans and the comparison root from the preorder rows.
   // Shared by both producers — any row-level divergence between them shows
   // up verbatim in the derived arrays instead of being masked by a second
@@ -148,7 +170,8 @@ class TreeSnapshot {
   std::vector<std::uint32_t> subtreeEnd_;
   std::vector<std::int32_t> levels_;
   std::vector<std::uint16_t> flags_;
-  std::vector<std::uint64_t> textHashes_;
+  std::vector<TextRow> texts_;
+  std::string textArena_;
   // Children of node i are childIndex_[childOffset_[i] .. childOffset_[i+1]).
   std::vector<std::uint32_t> childOffset_;
   std::vector<std::uint32_t> childIndex_;

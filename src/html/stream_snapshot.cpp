@@ -122,7 +122,7 @@ std::uint32_t StreamingSnapshotBuilder::emitRow(dom::SymbolId symbol,
   snap_->subtreeEnd_.push_back(row + 1);
   snap_->levels_.push_back(level);
   snap_->flags_.push_back(flags);
-  snap_->textHashes_.push_back(0);
+  snap_->texts_.emplace_back();
   if (prov_ != nullptr) snap_->taintSets_.push_back(taint);
   return row;
 }
@@ -166,7 +166,7 @@ StreamParseResult StreamingSnapshotBuilder::build(
   snap_->subtreeEnd_.reserve(rowGuess);
   snap_->levels_.reserve(rowGuess);
   snap_->flags_.reserve(rowGuess);
-  snap_->textHashes_.reserve(rowGuess);
+  snap_->texts_.reserve(rowGuess);
   if (prov_ != nullptr) snap_->taintSets_.reserve(rowGuess);
 
   document_.row =
@@ -440,6 +440,13 @@ void StreamingSnapshotBuilder::finalizeStructuralFlags(const Frame& frame) {
 }
 
 void StreamingSnapshotBuilder::finalizeTextRows() {
+  // Collapsing never grows text, so the raw total sizes the arena in one
+  // allocation.
+  std::size_t rawBytes = 0;
+  for (std::size_t slot = 0; slot < textRowCount_; ++slot) {
+    rawBytes += textRows_[slot].second.size();
+  }
+  snap_->textArena_.reserve(rawBytes);
   for (std::size_t slot = 0; slot < textRowCount_; ++slot) {
     const std::uint32_t row = textRows_[slot].first;
     util::collapseWhitespaceInto(textRows_[slot].second, collapseScratch_);
@@ -452,7 +459,7 @@ void StreamingSnapshotBuilder::finalizeTextRows() {
       flags |= TreeSnapshot::kTextDateLike;
     }
     snap_->flags_[row] = flags;
-    snap_->textHashes_[row] = util::fnv1a64(collapseScratch_);
+    snap_->setText(row, collapseScratch_);
   }
 }
 

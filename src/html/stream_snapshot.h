@@ -14,8 +14,9 @@
 //  * subtree extents — finalized to the current row count when an element
 //    is popped (implicitly, by end tag, or at EOF);
 //  * merged text content — adjacent text tokens append to the row's pending
-//    buffer until a sibling arrives; flags and the FNV-1a-64 hash are
-//    computed from the full merged value in one EOF pass;
+//    buffer until a sibling arrives; flags, the FNV-1a-64 hash and the
+//    snapshot's text-arena slice are computed from the full merged value in
+//    one EOF pass;
 //  * html/head/body ad-container flags — duplicated structural tags merge
 //    attributes first-wins, so class/id are accumulated and flagged at EOF.
 //
@@ -23,8 +24,8 @@
 // TreeSnapshot::finish() pass the reference constructor uses. The
 // differential fuzz suite (tests/snapshot_differential_test.cpp) asserts
 // the two producers' arrays are byte-identical across seeded random and
-// mutated documents; the dom::Node path stays available behind
-// DecisionConfig::useSnapshotFastPath as the testing reference.
+// mutated documents; the dom::Node path (DomMode::Reference, parseHtml +
+// TreeSnapshot(Node)) stays available as the testing reference.
 #pragma once
 
 #include <cstdint>

@@ -67,6 +67,28 @@ HttpResponse HttpResponse::redirect(const std::string& location, int status) {
   return response;
 }
 
+namespace {
+
+// Length of std::to_string(value).
+std::size_t decimalLength(long long value) {
+  std::size_t length = value < 0 ? 2 : 1;
+  auto rest = static_cast<unsigned long long>(value);
+  if (value < 0) rest = 0ULL - rest;
+  for (; rest >= 10; rest /= 10) ++length;
+  return length;
+}
+
+// Every header line is "name: value\r\n".
+std::size_t headerBytes(const HeaderMap& headers) {
+  std::size_t bytes = 0;
+  for (const HeaderMap::Entry& entry : headers.entries()) {
+    bytes += entry.name.size() + 2 + entry.value.size() + 2;
+  }
+  return bytes;
+}
+
+}  // namespace
+
 std::string toWireFormat(const HttpRequest& request) {
   std::string wire =
       request.method + " " + request.url.pathWithQuery() + " HTTP/1.1\r\n";
@@ -89,6 +111,26 @@ std::string toWireFormat(const HttpResponse& response) {
   wire += "\r\n";
   wire += response.body;
   return wire;
+}
+
+// Mirrors toWireFormat term by term; the net tests pin the equality.
+std::size_t wireSize(const HttpRequest& request) {
+  // "METHOD path HTTP/1.1\r\n" "Host: host\r\n" headers "\r\n" body
+  const Url& url = request.url;
+  const std::size_t pathWithQuery =
+      url.path().size() + (url.query().empty() ? 0 : 1 + url.query().size());
+  return request.method.size() + 1 + pathWithQuery + 11 + 6 +
+         url.host().size() + 2 +
+         headerBytes(request.headers) + 2 + request.body.size();
+}
+
+std::size_t wireSize(const HttpResponse& response) {
+  // "HTTP/1.1 status text\r\n" headers "Content-Length: n\r\n" "\r\n"
+  // body
+  return 9 + decimalLength(response.status) + 1 +
+         response.statusText.size() + 2 + headerBytes(response.headers) +
+         16 + decimalLength(static_cast<long long>(response.body.size())) +
+         2 + 2 + response.body.size();
 }
 
 }  // namespace cookiepicker::net

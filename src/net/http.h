@@ -92,4 +92,9 @@ struct HttpResponse {
 std::string toWireFormat(const HttpRequest& request);
 std::string toWireFormat(const HttpResponse& response);
 
+// toWireFormat(x).size(), computed without building the string (byte
+// accounting runs on every exchange and must not copy the body).
+std::size_t wireSize(const HttpRequest& request);
+std::size_t wireSize(const HttpResponse& response);
+
 }  // namespace cookiepicker::net

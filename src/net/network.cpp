@@ -131,7 +131,7 @@ void Network::recordInjectedFault(Exchange& exchange, faults::Action action) {
 
 Exchange Network::dispatch(const HttpRequest& request) {
   Exchange exchange;
-  exchange.requestBytes = toWireFormat(request).size();
+  exchange.requestBytes = wireSize(request);
 
   HostEntry* entry = nullptr;
   {
@@ -238,13 +238,13 @@ Exchange Network::dispatch(const HttpRequest& request) {
             break;
         }
       }
-      exchange.responseBytes = toWireFormat(exchange.response).size();
+      exchange.responseBytes = wireSize(exchange.response);
       exchange.latencyMs =
           entry->profile.sampleMs(entry->rng, exchange.responseBytes) +
           exchange.response.serverProcessingMs + extraLatencyMs;
     }
   }
-  exchange.responseBytes = toWireFormat(exchange.response).size();
+  exchange.responseBytes = wireSize(exchange.response);
 
   totalRequests_.fetch_add(1, std::memory_order_relaxed);
   totalBytes_.fetch_add(exchange.requestBytes + exchange.responseBytes,

@@ -66,7 +66,7 @@ void AsyncHttpClient::fetchOnLoop(net::HttpRequest request,
     exchange.requestBytes = serializeRequest(request).size();
     exchange.response = net::HttpResponse::notFound(request.url.toString());
     exchange.response.status = 404;
-    exchange.responseBytes = net::toWireFormat(exchange.response).size();
+    exchange.responseBytes = net::wireSize(exchange.response);
     {
       std::lock_guard<std::mutex> lock(statsMutex_);
       ++stats_.dispatches;
@@ -302,7 +302,7 @@ void AsyncHttpClient::completeFront(Conn* conn, ParsedResponse parsed) {
   exchange.latencyMs = EventLoop::monotonicMs() - flight.sentAtMs;
   exchange.requestBytes = flight.requestBytes;
   exchange.response = toHttpResponse(std::move(parsed));
-  exchange.responseBytes = net::toWireFormat(exchange.response).size();
+  exchange.responseBytes = net::wireSize(exchange.response);
   {
     obs::MetricsRegistry& global = obs::MetricsRegistry::global();
     if (global.enabled()) {

@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "core/cvce.h"
 #include "dom/builder.h"
+#include "dom/interner.h"
 #include "dom/node.h"
 #include "dom/serialize.h"
+#include "util/rng.h"
 
 namespace cookiepicker::dom {
 namespace {
@@ -240,6 +248,104 @@ TEST(Serialize, DebugStringShowsIndentation) {
   auto tree = buildTree("a(b)");
   const std::string debug = toDebugString(*tree);
   EXPECT_NE(debug.find("element a\n  element b"), std::string::npos);
+}
+
+// --- context interner reverse table -----------------------------------------
+
+// Tags that pass every CVCE noise filter, plus names minted per thread so
+// the threads below also race on fresh interner entries.
+constexpr const char* kChainTags[] = {"div", "p",  "span", "ul", "li",
+                                      "a",   "h1", "main", "section", "td"};
+
+// One random chain: its tags, and whether it starts from seed(tags[0]) (an
+// element comparison root) or from the empty context (a document root).
+struct TagChain {
+  std::vector<std::string> tags;
+  bool seeded = true;
+};
+
+TagChain randomChain(util::Pcg32& rng, int thread) {
+  TagChain chain;
+  chain.seeded = rng.uniform(0, 3) != 0;
+  const int length = 1 + static_cast<int>(rng.uniform(0, 6));
+  for (int i = 0; i < length; ++i) {
+    if (rng.uniform(0, 4) == 0) {
+      chain.tags.push_back("x" + std::to_string(thread) + "-" +
+                           std::to_string(rng.uniform(0, 20)));
+    } else {
+      chain.tags.push_back(
+          kChainTags[rng.uniform(0, std::size(kChainTags) - 1)]);
+    }
+  }
+  return chain;
+}
+
+// The reference CVCE context of a text node at the bottom of `chain`, taken
+// from extractContextContent itself: root element (seeded) or document
+// (empty seed) with the chain below it and one text leaf.
+std::string referenceContext(const TagChain& chain) {
+  std::unique_ptr<Node> root = chain.seeded ? Node::makeElement(chain.tags[0])
+                                            : Node::makeDocument();
+  Node* bottom = root.get();
+  for (std::size_t i = chain.seeded ? 1 : 0; i < chain.tags.size(); ++i) {
+    bottom = &bottom->appendChild(Node::makeElement(chain.tags[i]));
+  }
+  bottom->appendChild(Node::makeText("leaf"));
+  const std::set<std::string> strings = core::extractContextContent(*root);
+  EXPECT_EQ(strings.size(), 1u);
+  return strings.empty() ? std::string() : core::contextOf(*strings.begin());
+}
+
+ContextId internChain(const TagChain& chain) {
+  SymbolInterner& symbols = globalSymbolInterner();
+  ContextInterner& contexts = globalContextInterner();
+  ContextId id = chain.seeded ? contexts.seed(symbols.intern(chain.tags[0]))
+                              : ContextInterner::kEmpty;
+  for (std::size_t i = chain.seeded ? 1 : 0; i < chain.tags.size(); ++i) {
+    id = contexts.extend(id, symbols.intern(chain.tags[i]));
+  }
+  return id;
+}
+
+TEST(ContextInterner, RenderMatchesReferenceContextUnderConcurrency) {
+  // Every thread interns and renders its own random chains while the
+  // others insert into the same reverse table (TSan's data-race check).
+  constexpr int kThreads = 6;
+  constexpr int kChains = 300;
+  std::vector<std::thread> pool;
+  pool.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([t]() {
+      util::Pcg32 rng(static_cast<std::uint64_t>(t) + 1, 41);
+      for (int i = 0; i < kChains; ++i) {
+        const TagChain chain = randomChain(rng, t);
+        const ContextId id = internChain(chain);
+        const std::string rendered = globalContextInterner().render(id, ":");
+        EXPECT_EQ(rendered, referenceContext(chain));
+        // Structure paths use the same chains with a different separator.
+        std::string joined;
+        for (std::size_t k = 0; k < chain.tags.size(); ++k) {
+          if (k != 0 || !chain.seeded) joined += ">";
+          joined += chain.tags[k];
+        }
+        EXPECT_EQ(globalContextInterner().render(id, ">"), joined);
+      }
+    });
+  }
+  for (std::thread& thread : pool) thread.join();
+}
+
+TEST(ContextInterner, RenderEdgeCases) {
+  ContextInterner& contexts = globalContextInterner();
+  const SymbolId body = globalSymbolInterner().intern("body");
+  EXPECT_EQ(contexts.render(ContextInterner::kEmpty, ":"), "");
+  EXPECT_EQ(contexts.render(contexts.seed(body), ":"), "body");
+  // kEmpty extended: the document-root context ":body", not "body".
+  EXPECT_EQ(contexts.render(contexts.extend(ContextInterner::kEmpty, body),
+                            ":"),
+            ":body");
+  EXPECT_EQ(contexts.render(contexts.extend(contexts.seed(body), body), "|"),
+            "body|body");
 }
 
 }  // namespace

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "faults/fault_plan.h"
 #include "net/cookie_parse.h"
 #include "net/http.h"
 #include "net/network.h"
@@ -154,6 +159,95 @@ TEST(WireFormat, RequestContainsMethodPathHost) {
   EXPECT_NE(wire.find("GET /x?q=1 HTTP/1.1"), std::string::npos);
   EXPECT_NE(wire.find("Host: a.com"), std::string::npos);
   EXPECT_NE(wire.find("Cookie: a=1"), std::string::npos);
+}
+
+TEST(WireSize, RequestMatchesWireFormat) {
+  HttpRequest plain;
+  plain.url = *Url::parse("http://a.com");
+  HttpRequest query;
+  query.url = *Url::parse("http://shop.example:8080/deep/path?q=1&r=two");
+  query.method = "POST";
+  query.body = std::string(100000, 'x');
+  query.headers.add("Cookie", "a=1; b=2");
+  query.headers.add("X-Repeat", "one");
+  query.headers.add("x-repeat", "");
+  HttpRequest binary;
+  binary.url = *Url::parse("http://b.com/?");
+  binary.body = std::string("\0\r\n\xff\x01", 5);
+  binary.headers.add("", "");
+  for (const HttpRequest* request : {&plain, &query, &binary}) {
+    EXPECT_EQ(wireSize(*request), toWireFormat(*request).size());
+  }
+}
+
+TEST(WireSize, ResponseMatchesWireFormat) {
+  std::vector<HttpResponse> responses;
+  responses.emplace_back();  // default: 200, no headers, empty body
+  responses.push_back(HttpResponse::ok(std::string(1 << 20, 'y')));
+  responses.push_back(HttpResponse::ok(std::string("\0\0\xfe\r\n", 5),
+                                       "application/octet-stream"));
+  HttpResponse cookies = HttpResponse::ok("<p>hi</p>");
+  cookies.headers.add("Set-Cookie", "a=1; Path=/");
+  cookies.headers.add("Set-Cookie", "b=2; Max-Age=3600; HttpOnly");
+  cookies.headers.add("set-cookie", "c=");
+  responses.push_back(cookies);
+  HttpResponse truncated = HttpResponse::ok(std::string(300, 'z'));
+  truncated.headers.set("Content-Length", "4096");
+  responses.push_back(truncated);
+  responses.push_back(HttpResponse::notFound("/missing"));
+  responses.push_back(HttpResponse::redirect("/home", 301));
+  HttpResponse dropped;
+  dropped.status = 0;
+  dropped.statusText = "connection dropped";
+  responses.push_back(dropped);
+  HttpResponse odd;
+  odd.status = -12;
+  odd.statusText = "";
+  responses.push_back(odd);
+  for (const HttpResponse& response : responses) {
+    EXPECT_EQ(wireSize(response), toWireFormat(response).size())
+        << "status " << response.status;
+  }
+}
+
+// Byte accounting on real exchanges: the synthetic 404 for an unknown host
+// and every fault short-circuit the network can inject.
+TEST(WireSize, NetworkExchangesCountWireBytes) {
+  class Page : public HttpHandler {
+   public:
+    HttpResponse handle(const HttpRequest&) override {
+      HttpResponse response = HttpResponse::ok(std::string(2000, 'p'));
+      response.headers.add("Set-Cookie", "sid=1");
+      response.headers.add("Set-Cookie", "pref=dark");
+      return response;
+    }
+  };
+  HttpRequest request;
+  request.url = *Url::parse("http://known.example/page?x=1");
+  request.headers.set("Cookie", "sid=1");
+  const auto check = [&request](Network& network, bool faulted) {
+    const Exchange exchange = network.dispatch(request);
+    EXPECT_EQ(exchange.injectedFault != nullptr, faulted);
+    EXPECT_EQ(exchange.requestBytes, toWireFormat(request).size());
+    EXPECT_EQ(exchange.responseBytes, toWireFormat(exchange.response).size());
+  };
+
+  Network unknown(3);
+  check(unknown, false);  // 404: no host registered
+
+  for (const char* action :
+       {"server-error status=503", "server-error status=500",
+        "connection-drop", "timeout", "truncate-body truncate-at=100",
+        "corrupt-set-cookie", "slow-drip"}) {
+    SCOPED_TRACE(action);
+    Network network(3);
+    network.registerHost("known.example", std::make_shared<Page>());
+    const auto plan =
+        faults::FaultPlan::parse(std::string("rule action=") + action);
+    ASSERT_TRUE(plan.has_value());
+    network.setFaultPlan(std::make_shared<const faults::FaultPlan>(*plan));
+    check(network, true);
+  }
 }
 
 // --- Set-Cookie parsing ------------------------------------------------------

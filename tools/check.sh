@@ -7,8 +7,9 @@
 # metrics registry enabled (COOKIEPICKER_OBS=1, so every obs::count / span
 # in every test records concurrently into one shared registry), under
 # AddressSanitizer+UBSan (-DCOOKIEPICKER_SANITIZE=address), a Debug
-# build of the fast-path differential suite (the bit-identical checks must
-# hold without optimizer-dependent FP behaviour), and the chaos soaks: the
+# build of the fast-path, interner and audit-evidence differential suites
+# (the bit-identical checks must hold without optimizer-dependent FP
+# behaviour), and the chaos soaks: the
 # ChaosSoak fleet test re-run in the TSan and ASan trees with
 # COOKIEPICKER_CHAOS=1, which scales it up to 64 hosts / 8 workers under
 # an aggressive mixed fault plan. Each configuration gets its own build
@@ -20,7 +21,8 @@
 # snapshot differential fuzz suite in the TSan and ASan trees with
 # COOKIEPICKER_FUZZ=8, which scales the generated-document corpus eightfold
 # (every document byte-compared across the streaming and reference
-# pipelines, with mutation rounds). The serve-soak configs re-run the
+# pipelines, with mutation rounds, and the snapshot audit evidence compared
+# against the dom::Node evidence). The serve-soak configs re-run the
 # service-tier suites (event loop, real-socket e2e parity, and the
 # flapping-origin verdict soak) in the TSan and ASan trees with
 # COOKIEPICKER_CHAOS=1, which doubles the soak's training views — epoll
@@ -213,11 +215,12 @@ for config in "${CONFIGS[@]}"; do
         -DCOOKIEPICKER_SANITIZE="$sanitize" \
         -DCMAKE_BUILD_TYPE="$build_type" >/dev/null
   if [[ "$config" == debug ]]; then
-    echo "=== [$config] building differential suite ==="
-    cmake --build "$build_dir" -j "$JOBS" --target detection_fastpath_test
-    echo "=== [$config] running differential suite ==="
+    echo "=== [$config] building differential suites ==="
+    cmake --build "$build_dir" -j "$JOBS" --target detection_fastpath_test \
+        snapshot_differential_test dom_test
+    echo "=== [$config] running differential suites ==="
     (cd "$build_dir" && ctest --output-on-failure -j "$JOBS" \
-        -R 'FastPathDifferential|Interner')
+        -R 'FastPathDifferential|Interner|SnapshotDifferential.Evidence')
   elif [[ -n "$test_filter" ]]; then
     echo "=== [$config] building $soak_target ==="
     # shellcheck disable=SC2086 — soak_target may name several targets
