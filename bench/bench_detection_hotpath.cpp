@@ -83,18 +83,17 @@ std::vector<PagePair> buildPairs(const std::vector<server::SiteSpec>& roster,
     util::SimClock clock;
     browser::Browser browser(network, clock,
                              cookies::CookiePolicy::recommended(), seed);
-    // Reference mode: the bench needs the node trees to time the reference
-    // loops against (the streaming pipeline is timed from the raw HTML).
-    browser.setDomMode(browser::DomMode::Reference);
     browser.visit("http://" + spec.domain + "/page0");
     browser.visit("http://" + spec.domain + "/page1");
     browser::PageView view = browser.visit("http://" + spec.domain + "/page0");
     browser::HiddenFetchResult hidden = browser.hiddenFetch(
         view, [](const cookies::CookieRecord&) { return true; });
-    if (view.document == nullptr || hidden.document == nullptr) continue;
+    // The reference loops time the dom::Node implementations, so parse the
+    // retained bodies into node trees (the streaming pipeline is timed from
+    // the raw HTML).
     PagePair pair;
-    pair.regular = std::move(view.document);
-    pair.hidden = std::move(hidden.document);
+    pair.regular = html::parseHtml(view.containerHtml);
+    pair.hidden = html::parseHtml(hidden.html);
     pair.regularSnapshot = std::move(view.snapshot);
     pair.hiddenSnapshot = std::move(hidden.snapshot);
     pair.regularHtml = std::move(view.containerHtml);

@@ -23,60 +23,47 @@ void Doppelganger::onPageView(const browser::PageView& view) {
       [](const cookies::CookieRecord& record) { return record.persistent; });
   stats_.mirrorLatencyMs += fork.latencyMs;
 
-  // Doppelganger diffs serialized node trees, so it needs real documents.
-  // Streaming-mode fetches carry only snapshots; re-parse the retained HTML
-  // the same way the reference pipeline would have.
-  std::unique_ptr<dom::Node> forkParsed;
-  const dom::Node* forkDocument = fork.document.get();
-  if (forkDocument == nullptr) {
-    forkParsed = html::parseHtml(fork.html);
-    forkDocument = forkParsed.get();
-  }
-  std::unique_ptr<dom::Node> viewParsed;
-  const dom::Node* viewDocument = view.document.get();
-  if (viewDocument == nullptr) {
-    viewParsed = html::parseHtml(view.containerHtml);
-    viewDocument = viewParsed.get();
-  }
+  // Doppelganger diffs serialized node trees, so it re-parses the retained
+  // HTML of both windows (the browser itself keeps only snapshots).
+  const std::unique_ptr<dom::Node> forkDocument = html::parseHtml(fork.html);
+  const std::unique_ptr<dom::Node> viewDocument =
+      html::parseHtml(view.containerHtml);
 
   // ...plus, unlike CookiePicker, every embedded object of the fork copy.
-  if (forkDocument != nullptr) {
-    double batchMs = 0.0;
-    int inBatch = 0;
-    double totalMs = 0.0;
-    dom::preorder(*forkDocument, [&](const dom::Node& node, std::size_t) {
-      if (!node.isElement()) return true;
-      std::optional<std::string> reference;
-      if (node.name() == "img" || node.name() == "script") {
-        reference = node.attribute("src");
-      } else if (node.name() == "link") {
-        reference = node.attribute("href");
+  double batchMs = 0.0;
+  int inBatch = 0;
+  double totalMs = 0.0;
+  dom::preorder(*forkDocument, [&](const dom::Node& node, std::size_t) {
+    if (!node.isElement()) return true;
+    std::optional<std::string> reference;
+    if (node.name() == "img" || node.name() == "script") {
+      reference = node.attribute("src");
+    } else if (node.name() == "link") {
+      reference = node.attribute("href");
+    }
+    if (reference.has_value() && !reference->empty()) {
+      net::HttpRequest request;
+      request.url = view.url.resolve(*reference);
+      request.headers.set("User-Agent", "DoppelgangerFork/1.0");
+      const net::Exchange exchange = network_.dispatch(request);
+      batchMs = std::max(batchMs, exchange.latencyMs);
+      if (++inBatch == browser::Browser::kParallelConnections) {
+        totalMs += batchMs;
+        batchMs = 0.0;
+        inBatch = 0;
       }
-      if (reference.has_value() && !reference->empty()) {
-        net::HttpRequest request;
-        request.url = view.url.resolve(*reference);
-        request.headers.set("User-Agent", "DoppelgangerFork/1.0");
-        const net::Exchange exchange = network_.dispatch(request);
-        batchMs = std::max(batchMs, exchange.latencyMs);
-        if (++inBatch == browser::Browser::kParallelConnections) {
-          totalMs += batchMs;
-          batchMs = 0.0;
-          inBatch = 0;
-        }
-      }
-      return true;
-    });
-    totalMs += batchMs;
-    stats_.mirrorLatencyMs += totalMs;
-  }
+    }
+    return true;
+  });
+  totalMs += batchMs;
+  stats_.mirrorLatencyMs += totalMs;
 
   stats_.mirroredRequests += network_.totalRequests() - requestsBefore;
   stats_.mirroredBytes += network_.totalBytesTransferred() - bytesBefore;
 
   // Any difference between the serialized windows triggers a user prompt.
   const std::string mainHtml = dom::toHtml(*viewDocument);
-  const std::string forkHtml =
-      forkDocument != nullptr ? dom::toHtml(*forkDocument) : std::string();
+  const std::string forkHtml = dom::toHtml(*forkDocument);
   if (mainHtml != forkHtml) {
     ++stats_.userPrompts;
     if (oracle_(mainHtml, forkHtml)) {

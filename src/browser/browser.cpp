@@ -5,10 +5,8 @@
 #include <cstdlib>
 #include <set>
 
-#include "html/parser.h"
 #include "obs/recorder.h"
 #include "util/log.h"
-#include "util/strings.h"
 
 namespace cookiepicker::browser {
 
@@ -81,9 +79,9 @@ void Browser::storeResponseCookies(const net::HttpResponse& response,
   }
 }
 
-// Streaming twin of collectSubresources: the builder already walked the
-// document in preorder and recorded the raw references plus the first
-// <base href>; only URL resolution is left.
+// The streaming builder already walked the document in preorder and
+// recorded the raw subresource references plus the first <base href>; only
+// URL resolution is left.
 std::vector<net::Url> Browser::resolveSubresources(
     const html::StreamPageInfo& page, const net::Url& documentUrl) const {
   const net::Url baseUrl = page.baseHref.empty()
@@ -94,40 +92,6 @@ std::vector<net::Url> Browser::resolveSubresources(
   for (const std::string& reference : page.subresourceRefs) {
     resources.push_back(baseUrl.resolve(reference));
   }
-  return resources;
-}
-
-std::vector<net::Url> Browser::collectSubresources(
-    const dom::Node& document, const net::Url& documentUrl) const {
-  // <base href> (first one wins) changes the URL all relative references
-  // resolve against.
-  net::Url baseUrl = documentUrl;
-  if (const dom::Node* base = document.findFirst("base")) {
-    if (const auto href = base->attribute("href");
-        href.has_value() && !href->empty()) {
-      baseUrl = documentUrl.resolve(*href);
-    }
-  }
-  std::vector<net::Url> resources;
-  dom::preorder(document, [&](const dom::Node& node, std::size_t) {
-    if (!node.isElement()) return true;
-    const std::string& tag = node.name();
-    std::optional<std::string> reference;
-    if (tag == "img" || tag == "script" || tag == "iframe" ||
-        tag == "embed") {
-      reference = node.attribute("src");
-    } else if (tag == "link") {
-      const auto rel = node.attribute("rel");
-      if (rel.has_value() &&
-          util::containsIgnoreCase(*rel, "stylesheet")) {
-        reference = node.attribute("href");
-      }
-    }
-    if (reference.has_value() && !reference->empty()) {
-      resources.push_back(baseUrl.resolve(*reference));
-    }
-    return true;
-  });
   return resources;
 }
 
@@ -147,13 +111,7 @@ PageView Browser::visit(const std::string& url) {
   if (!parsed.has_value()) {
     PageView view;
     view.status = 0;
-    if (domMode_ == DomMode::Streaming) {
-      view.snapshot = streamBuilder_.build("").snapshot;
-    } else {
-      view.document = html::parseHtml("");
-      view.snapshot =
-          std::make_shared<const dom::TreeSnapshot>(*view.document);
-    }
+    view.snapshot = streamBuilder_.build("").snapshot;
     return view;
   }
   return visit(*parsed);
@@ -188,7 +146,7 @@ PageView Browser::visit(const net::Url& url) {
   view.status = exchange.response.status;
   view.containerHtml = exchange.response.body;
   view.provenance = extractProvenance(exchange.response);
-  if (domMode_ == DomMode::Streaming) {
+  {
     // One pass: tokens flow straight into the snapshot arrays, and the
     // subresource references fall out of the same walk. No node tree.
     obs::ScopedTimer streamSpan(obs::Timer::StreamBuild);
@@ -196,19 +154,6 @@ PageView Browser::visit(const net::Url& url) {
         view.containerHtml, {}, view.provenance.get());
     view.snapshot = std::move(streamed.snapshot);
     view.subresources = resolveSubresources(streamed.page, view.url);
-  } else {
-    {
-      obs::ScopedTimer parseSpan(obs::Timer::HtmlParse);
-      view.document = html::parseHtml(view.containerHtml);
-    }
-    // Flatten once at parse time; every detection step over this view reads
-    // the cached snapshot instead of re-walking the node tree.
-    {
-      obs::ScopedTimer snapshotSpan(obs::Timer::SnapshotBuild);
-      view.snapshot =
-          std::make_shared<const dom::TreeSnapshot>(*view.document);
-    }
-    view.subresources = collectSubresources(*view.document, view.url);
   }
 
   // Object requests (stylesheets, images, scripts).
@@ -300,19 +245,11 @@ HiddenFetchResult Browser::completeHiddenFetch(
   // Flattened by the same pipeline as the regular copy, per Section 3.2
   // step three (the hidden copy fetches no objects, so its page info is
   // discarded).
-  if (domMode_ == DomMode::Streaming) {
+  {
     obs::ScopedTimer streamSpan(obs::Timer::StreamBuild);
     result.snapshot =
         streamBuilder_.build(result.html, {}, result.provenance.get())
             .snapshot;
-  } else {
-    {
-      obs::ScopedTimer parseSpan(obs::Timer::HtmlParse);
-      result.document = html::parseHtml(result.html);
-    }
-    obs::ScopedTimer snapshotSpan(obs::Timer::SnapshotBuild);
-    result.snapshot =
-        std::make_shared<const dom::TreeSnapshot>(*result.document);
   }
   // The hidden response triggers no object loads and its Set-Cookie headers
   // are deliberately ignored.

@@ -1,11 +1,13 @@
 // Simulated web browser.
 //
 // Implements the page-load pipeline of Figure 1: the container-page request
-// (1)/(2), parsing into the regular DOM tree, and the follow-up object
-// requests — plus the extension hooks CookiePicker needs: the hidden request
-// (3)/(4) that refetches only the container page with a group of persistent
-// cookies stripped, and a pluggable filter that suppresses blocked cookies
-// on outgoing regular requests.
+// (1)/(2), one streaming pass that flattens the container into its
+// detection snapshot (no dom::Node tree is built), and the follow-up object
+// requests — plus the extension hooks CookiePicker needs: the hidden
+// request (3)/(4) that refetches only the container page with a group of
+// persistent cookies stripped and is flattened by the same pass, and a
+// pluggable filter that suppresses blocked cookies on outgoing regular
+// requests.
 #pragma once
 
 #include <functional>
@@ -22,22 +24,6 @@
 #include "util/rng.h"
 
 namespace cookiepicker::browser {
-
-// How page bodies become detection snapshots.
-//
-//  * Streaming (the default): the tokenizer feeds html::StreamingSnapshot-
-//    Builder directly — one pass, no dom::Node tree is ever built, and
-//    PageView::document / HiddenFetchResult::document stay null. FORCUM
-//    decides and gathers audit evidence from the snapshots alone; only the
-//    Doppelganger baseline re-parses the retained HTML into a node tree.
-//  * Reference: the original parseHtml + TreeSnapshot(Node) pipeline. Kept
-//    as the differential-testing and A/B-measurement twin; both modes
-//    produce byte-identical snapshots and subresource lists (pinned by
-//    tests/snapshot_differential_test.cpp and the browser tests).
-enum class DomMode {
-  Streaming,
-  Reference,
-};
 
 // User think time between page views. Mah's empirical HTTP traffic model
 // [12] gives heavy-tailed think times with means above 10 seconds; we use a
@@ -73,11 +59,8 @@ struct RetryPolicy {
 };
 
 struct HiddenFetchResult {
-  // Reference-mode only: the parsed node tree. Null in streaming mode —
-  // callers needing a tree re-parse `html` lazily.
-  std::unique_ptr<dom::Node> document;
-  // Flattened detection view of the response body, built at parse time like
-  // PageView::snapshot.
+  // Flattened detection view of the response body, built by the same
+  // streaming pipeline as PageView::snapshot.
   std::shared_ptr<const dom::TreeSnapshot> snapshot;
   std::string html;
   // Provenance map for `html`, mirroring PageView::provenance. Null unless
@@ -95,7 +78,7 @@ struct HiddenFetchResult {
   int attempts = 0;
   // The final response body arrived shorter than its Content-Length.
   bool truncated = false;
-  // Every allowed attempt failed; `document` holds whatever the last
+  // Every allowed attempt failed; `snapshot` holds whatever the last
   // attempt returned (an error page, a truncated body, or nothing) and
   // must not be compared against the regular copy.
   bool degraded = false;
@@ -122,8 +105,8 @@ class Browser {
           std::uint64_t seed = 11);
 
   // Full page view: follows redirects (bounded), stores cookies per policy,
-  // parses the container into the regular DOM tree, fetches embedded
-  // objects. Advances the simulated clock by the load time.
+  // flattens the container into its snapshot, fetches embedded objects.
+  // Advances the simulated clock by the load time.
   PageView visit(const net::Url& url);
   PageView visit(const std::string& url);
 
@@ -147,7 +130,7 @@ class Browser {
       const std::function<bool(const cookies::CookieRecord&)>&
           excludePersistent);
 
-  // Completion half: parses the final attempt's response into a
+  // Completion half: flattens the final attempt's response into a
   // HiddenFetchResult and advances the clock by that attempt's round trip
   // (earlier attempts and backoffs must already be accounted —
   // `latencySoFarMs` carries them into the result's total).
@@ -168,9 +151,6 @@ class Browser {
 
   // Simulates the user pausing between page views; advances the clock.
   double think();
-
-  DomMode domMode() const { return domMode_; }
-  void setDomMode(DomMode mode) { domMode_ = mode; }
 
   // Opt into per-cookie taint data: container and hidden requests carry
   // X-Want-Provenance, response maps are decoded onto PageView /
@@ -209,8 +189,6 @@ class Browser {
   void storeResponseCookies(const net::HttpResponse& response,
                             const net::Url& requestUrl,
                             const net::Url& documentUrl);
-  std::vector<net::Url> collectSubresources(const dom::Node& document,
-                                            const net::Url& baseUrl) const;
   std::vector<net::Url> resolveSubresources(const html::StreamPageInfo& page,
                                             const net::Url& documentUrl) const;
   // Decodes X-Cookie-Provenance when wantProvenance_ is set; null on absent
@@ -225,7 +203,6 @@ class Browser {
   util::Pcg32 rng_;
   ThinkTimeModel thinkTime_;
   std::function<bool(const cookies::CookieRecord&)> persistentSendFilter_;
-  DomMode domMode_ = DomMode::Streaming;
   bool wantProvenance_ = false;
   // Retained across page loads: its scratch (token buffers, open stack,
   // per-tag info cache) makes steady-state builds allocation-light.

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "dom/node.h"
 #include "dom/snapshot.h"
 #include "net/http.h"
 #include "provenance/taint.h"
@@ -28,15 +27,12 @@ struct PageView {
   // The container request exactly as sent (URI and header information saved
   // for replay as the hidden request).
   net::HttpRequest containerRequest;
-  // The regular DOM tree. Only populated in DomMode::Reference; the
-  // streaming pipeline (the default) never builds it, and consumers that
-  // need a node tree re-parse `containerHtml` lazily.
-  std::unique_ptr<dom::Node> document;
-  // Flattened detection view of the container page, built once at parse
-  // time and reused by every FORCUM step over this view (shared so reports
-  // and copies of the view alias one snapshot).
+  // Flattened detection view of the container page, built once by the
+  // streaming pass and reused by every FORCUM step over this view (shared
+  // so reports and copies of the view alias one snapshot).
   std::shared_ptr<const dom::TreeSnapshot> snapshot;
-  // Raw container HTML (kept for baselines that diff serialized text).
+  // Raw container HTML (kept for baselines that diff serialized text and
+  // re-parse it into a node tree).
   std::string containerHtml;
   // Byte-range → cookie-label map for `containerHtml`, decoded from the
   // origin's X-Cookie-Provenance header. Null unless the browser asked for

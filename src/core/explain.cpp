@@ -235,13 +235,15 @@ std::string DifferenceExplanation::summary() const {
   return out;
 }
 
-DifferenceExplanation explainDifference(const dom::Node& regularDocument,
-                                        const dom::Node& hiddenDocument,
-                                        const ExplainOptions& options) {
+DifferenceExplanation explainDifference(
+    const dom::TreeSnapshot& regularSnapshot,
+    const dom::TreeSnapshot& hiddenSnapshot,
+    const ExplainOptions& options) {
+  DetectionScratch scratch;
   DifferenceExplanation explanation;
   explanation.decision = decideCookieUsefulness(
-      regularDocument, hiddenDocument, options.decision);
-  collectDifferenceEvidence(regularDocument, hiddenDocument, options,
+      regularSnapshot, hiddenSnapshot, scratch, options.decision);
+  collectDifferenceEvidence(regularSnapshot, hiddenSnapshot, options, scratch,
                             explanation);
   return explanation;
 }

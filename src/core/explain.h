@@ -38,23 +38,25 @@ struct ExplainOptions {
   std::size_t maxItems = 5;
 };
 
-// Runs the decision algorithms and gathers the supporting evidence.
-DifferenceExplanation explainDifference(const dom::Node& regularDocument,
-                                        const dom::Node& hiddenDocument,
-                                        const ExplainOptions& options = {});
+// Runs the snapshot decision and gathers the supporting evidence from the
+// snapshots a PageView / HiddenFetchResult already carries.
+DifferenceExplanation explainDifference(
+    const dom::TreeSnapshot& regularSnapshot,
+    const dom::TreeSnapshot& hiddenSnapshot,
+    const ExplainOptions& options = {});
 
-// Evidence-gathering half of explainDifference: fills the four
-// structure/text lists without re-running the decision (the caller supplies
-// `explanation.decision` itself, typically from a verdict it already has —
-// the audit trail uses this to attach evidence to cookie-caused verdicts
-// without paying for a second detection pass).
+// Evidence-gathering half of explainDifference over node trees: fills the
+// four structure/text lists without running the decision (the caller
+// supplies `explanation.decision` itself). The reference implementation the
+// snapshot overload below is pinned against.
 void collectDifferenceEvidence(const dom::Node& regularDocument,
                                const dom::Node& hiddenDocument,
                                const ExplainOptions& options,
                                DifferenceExplanation& explanation);
 
 // The same four lists, byte for byte, gathered from the snapshots a view
-// already carries: structure paths from the visible rows' interned
+// already carries — what the audit trail attaches to cookie-caused verdicts
+// without a second detection pass: structure paths from the visible rows' interned
 // ancestor chains, text from the CVCE features plus the snapshot text
 // arena. Strings are rendered only for entries that end up as evidence.
 // Byte-identical to the node-tree overload while tag names contain no ':'

@@ -517,7 +517,8 @@ ForcumStepReport ForcumEngine::runStep(const browser::PageView& view,
   // Only real container documents are trained on: an error page (5xx/4xx
   // from a transient failure) compared against a healthy hidden copy would
   // mark every cookie in sight. Degrade to a counter-neutral skip. The
-  // view's snapshot (attached in both DomModes) proves the container parsed.
+  // view's snapshot (the browser attaches one to every view) proves the
+  // container parsed.
   if (view.status != 200 || view.snapshot == nullptr) {
     report.skipped = true;
     report.skipReason = "container-error";

@@ -24,8 +24,9 @@
 // TreeSnapshot::finish() pass the reference constructor uses. The
 // differential fuzz suite (tests/snapshot_differential_test.cpp) asserts
 // the two producers' arrays are byte-identical across seeded random and
-// mutated documents; the dom::Node path (DomMode::Reference, parseHtml +
-// TreeSnapshot(Node)) stays available as the testing reference.
+// mutated documents; the dom::Node path (parseHtml + TreeSnapshot(Node))
+// stays available as the testing reference, and the browser tests hold
+// every roster page's regular and hidden copy to it.
 #pragma once
 
 #include <cstdint>
@@ -211,8 +212,8 @@ class StreamingSnapshotBuilder {
 };
 
 // Reference twin of the streaming page-info collection, over a parsed tree.
-// Used by the reference (dom::Node) browser mode and by the differential
-// tests to pin StreamPageInfo against the tree-walking implementation.
+// Used by the differential and browser tests to pin StreamPageInfo against
+// the tree-walking implementation.
 StreamPageInfo collectPageInfo(const dom::Node& document);
 
 // One-shot convenience for tests and tools (constructs a fresh builder).

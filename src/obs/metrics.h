@@ -139,8 +139,6 @@ enum class GaugeMerge { Sum, Max };
 
 // Timing histograms — the pipeline phases the spans instrument.
 enum class Timer : std::uint8_t {
-  HtmlParse,      // html::parseHtml of a container/hidden document
-  SnapshotBuild,  // dom::TreeSnapshot construction from a dom::Node tree
   StreamBuild,    // streaming tokenizer→snapshot build (no dom::Node pass)
   RstmDp,         // nTreeSim (the RSTM dynamic program + node counts)
   CvceExtract,    // context-content extraction
@@ -183,7 +181,8 @@ struct HistogramSnapshot {
   void merge(const HistogramSnapshot& other);
   double totalMs() const { return static_cast<double>(sumNs) / 1e6; }
   double meanMs() const;
-  // Nearest-rank percentile, reported as the matched bucket's upper bound.
+  // Nearest-rank percentile for `p` in percent (90.0 is p90, not 0.90),
+  // reported as the matched bucket's upper bound.
   double percentileMs(double p) const;
 };
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "dom/snapshot.h"
+#include "html/parser.h"
+#include "html/stream_snapshot.h"
 #include "net/cookie_parse.h"
 #include "util/stats.h"
 #include "server/generator.h"
@@ -15,48 +18,73 @@ TEST(Browser, VisitBuildsStreamingSnapshot) {
   const auto spec = world.addGenericSite("shop.example");
   const PageView view = world.browser.visit(world.urlFor(spec));
   EXPECT_EQ(view.status, 200);
-  // Streaming mode (the default): snapshot only, no node tree.
-  EXPECT_EQ(view.document, nullptr);
   ASSERT_NE(view.snapshot, nullptr);
   EXPECT_GT(view.snapshot->nodeCount(), 0u);
   EXPECT_GT(view.snapshot->comparisonRootIndex(), 0u);  // found <body>
   EXPECT_EQ(view.url.host(), "shop.example");
 }
 
-TEST(Browser, ReferenceModeParsesContainerIntoDom) {
-  SimWorld world;
-  world.browser.setDomMode(DomMode::Reference);
-  const auto spec = world.addGenericSite("shop.example");
-  const PageView view = world.browser.visit(world.urlFor(spec));
-  EXPECT_EQ(view.status, 200);
-  ASSERT_NE(view.document, nullptr);
-  EXPECT_NE(view.document->findFirst("body"), nullptr);
-  EXPECT_EQ(view.url.host(), "shop.example");
+// Asserts `streamed` is row-for-row the snapshot the reference pipeline —
+// a full parseHtml into a dom::Node tree, then TreeSnapshot(Node) — builds
+// from the same bytes.
+void expectReferenceSnapshot(const dom::TreeSnapshot& streamed,
+                             const dom::Node& document) {
+  const dom::TreeSnapshot reference(document);
+  ASSERT_EQ(streamed.nodeCount(), reference.nodeCount());
+  for (std::uint32_t i = 0; i < reference.nodeCount(); ++i) {
+    EXPECT_EQ(streamed.symbol(i), reference.symbol(i)) << "row " << i;
+    EXPECT_EQ(streamed.subtreeEnd(i), reference.subtreeEnd(i)) << "row " << i;
+    EXPECT_EQ(streamed.level(i), reference.level(i)) << "row " << i;
+    EXPECT_EQ(streamed.rawFlags(i), reference.rawFlags(i)) << "row " << i;
+    EXPECT_EQ(streamed.textHash(i), reference.textHash(i)) << "row " << i;
+    EXPECT_EQ(streamed.text(i), reference.text(i)) << "row " << i;
+  }
+  EXPECT_EQ(streamed.comparisonRootIndex(), reference.comparisonRootIndex());
 }
 
-TEST(Browser, StreamingAndReferenceModesAgree) {
-  SimWorld streaming;
-  SimWorld reference;
-  reference.browser.setDomMode(DomMode::Reference);
-  const auto specA = streaming.addGenericSite("shop.example");
-  const auto specB = reference.addGenericSite("shop.example");
-  const PageView a = streaming.browser.visit(streaming.urlFor(specA));
-  const PageView b = reference.browser.visit(reference.urlFor(specB));
-  ASSERT_NE(a.snapshot, nullptr);
-  ASSERT_NE(b.snapshot, nullptr);
-  // Identical snapshot arrays and identical resolved subresource lists.
-  ASSERT_EQ(a.snapshot->nodeCount(), b.snapshot->nodeCount());
-  for (std::uint32_t i = 0; i < a.snapshot->nodeCount(); ++i) {
-    EXPECT_EQ(a.snapshot->symbol(i), b.snapshot->symbol(i));
-    EXPECT_EQ(a.snapshot->subtreeEnd(i), b.snapshot->subtreeEnd(i));
-    EXPECT_EQ(a.snapshot->level(i), b.snapshot->level(i));
-    EXPECT_EQ(a.snapshot->rawFlags(i), b.snapshot->rawFlags(i));
-    EXPECT_EQ(a.snapshot->textHash(i), b.snapshot->textHash(i));
+// Regular and hidden copies of the generic site and of every Table 1 page:
+// the browser's single streaming pass must reproduce the reference tree
+// pipeline's snapshot and, for visits, its resolved subresource list.
+TEST(Browser, VisitAndHiddenFetchMatchReferencePipeline) {
+  SimWorld world;
+  std::vector<server::SiteSpec> specs = {
+      server::makeGenericSpec("T", "shop.example", 7)};
+  for (const server::SiteSpec& spec : server::table1Roster()) {
+    specs.push_back(spec);
   }
-  ASSERT_EQ(a.subresources.size(), b.subresources.size());
-  for (std::size_t i = 0; i < a.subresources.size(); ++i) {
-    EXPECT_EQ(a.subresources[i].toString(), b.subresources[i].toString());
+  int pages = 0;
+  for (const server::SiteSpec& spec : specs) {
+    const auto site = server::buildSite(spec, world.clock);
+    world.network.registerHost(spec.domain, site, spec.latencyProfile());
+    for (const std::string& path : site->pagePaths()) {
+      SCOPED_TRACE(spec.domain + path);
+      const PageView view = world.browser.visit(world.urlFor(spec, path));
+      ASSERT_EQ(view.status, 200);
+      ASSERT_NE(view.snapshot, nullptr);
+      const auto document = html::parseHtml(view.containerHtml);
+      expectReferenceSnapshot(*view.snapshot, *document);
+
+      const html::StreamPageInfo page = html::collectPageInfo(*document);
+      const net::Url base =
+          page.baseHref.empty() ? view.url : view.url.resolve(page.baseHref);
+      ASSERT_EQ(view.subresources.size(), page.subresourceRefs.size());
+      for (std::size_t i = 0; i < view.subresources.size(); ++i) {
+        EXPECT_EQ(view.subresources[i].toString(),
+                  base.resolve(page.subresourceRefs[i]).toString());
+      }
+
+      const HiddenFetchResult hidden = world.browser.hiddenFetch(
+          view, [](const cookies::CookieRecord& record) {
+            return record.persistent;
+          });
+      ASSERT_TRUE(hidden.usable());
+      ASSERT_NE(hidden.snapshot, nullptr);
+      expectReferenceSnapshot(*hidden.snapshot, *html::parseHtml(hidden.html));
+      if (::testing::Test::HasFailure()) return;
+      ++pages;
+    }
   }
+  EXPECT_GT(pages, static_cast<int>(specs.size()));
 }
 
 TEST(Browser, VisitFetchesSubresources) {
@@ -154,8 +182,6 @@ TEST(Browser, HiddenFetchStripsSelectedPersistentCookies) {
 
 TEST(Browser, HiddenFetchKeepsSessionCookies) {
   SimWorld world;
-  // Reference mode: this test reads text out of the hidden node tree.
-  world.browser.setDomMode(DomMode::Reference);
   auto spec = server::makeGenericSpec("C", "cart.example", 6);
   spec.sessionCart = true;
   world.addSite(spec);
@@ -165,8 +191,14 @@ TEST(Browser, HiddenFetchKeepsSessionCookies) {
       view,
       [](const cookies::CookieRecord& record) { return record.persistent; });
   // The rendered hidden page still shows the session cart.
-  EXPECT_NE(hidden.document->textContent().find("Cart items"),
-            std::string::npos);
+  ASSERT_NE(hidden.snapshot, nullptr);
+  bool sawCart = false;
+  for (std::uint32_t i = 0; i < hidden.snapshot->nodeCount(); ++i) {
+    if (hidden.snapshot->text(i).find("Cart items") != std::string_view::npos) {
+      sawCart = true;
+    }
+  }
+  EXPECT_TRUE(sawCart);
   for (const auto& key : hidden.strippedCookies) {
     EXPECT_NE(key.name, "cart");
   }

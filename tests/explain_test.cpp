@@ -1,13 +1,15 @@
 #include <gtest/gtest.h>
 
 #include "core/explain.h"
-#include "html/parser.h"
+#include "html/stream_snapshot.h"
 
 namespace cookiepicker::core {
 namespace {
 
-std::unique_ptr<dom::Node> page(const std::string& body) {
-  return html::parseHtml("<html><head></head><body>" + body + "</body></html>");
+std::shared_ptr<const dom::TreeSnapshot> page(const std::string& body) {
+  return html::buildSnapshotStreaming("<html><head></head><body>" + body +
+                                      "</body></html>")
+      .snapshot;
 }
 
 TEST(Explain, IdenticalPagesHaveEmptyEvidence) {

@@ -514,9 +514,8 @@ int runStats(const Options& options) {
   }
 
   const obs::Timer leafPhases[] = {
-      obs::Timer::HtmlParse,   obs::Timer::SnapshotBuild,
-      obs::Timer::StreamBuild, obs::Timer::RstmDp,
-      obs::Timer::CvceExtract, obs::Timer::CvceMerge};
+      obs::Timer::StreamBuild, obs::Timer::RstmDp, obs::Timer::CvceExtract,
+      obs::Timer::CvceMerge};
   double leafTotalMs = 0.0;
   for (const obs::Timer timer : leafPhases) {
     leafTotalMs += metrics.timer(timer).totalMs();
@@ -541,7 +540,7 @@ int runStats(const Options& options) {
                 obs::timerName(timer),
                 static_cast<unsigned long long>(histogram.count),
                 histogram.totalMs(), histogram.meanMs(),
-                histogram.percentileMs(0.90), share.c_str());
+                histogram.percentileMs(90.0), share.c_str());
   }
   const std::string auditJsonl = report.auditJsonl();
   std::printf("\naudit records        : %llu\n",
