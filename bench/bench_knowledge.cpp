@@ -141,7 +141,6 @@ QpsRound runVerdictRounds(const std::vector<server::SiteSpec>& roster) {
   config.defaultViews = kViewsPerUser;
   config.seed = kSeed;
   config.picker = pickerConfig(nullptr);
-  config.picker.sharedKnowledge = nullptr;  // set per round below
 
   QpsRound round;
   {

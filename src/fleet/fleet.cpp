@@ -2,25 +2,39 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 #include <thread>
 
-#include "browser/browser.h"
 #include "dom/interner.h"
-#include "obs/audit.h"
-#include "obs/recorder.h"
 #include "util/clock.h"
 #include "util/log.h"
-#include "util/rng.h"
 #include "util/strings.h"
 
 namespace cookiepicker::fleet {
 
-int FleetReport::totalPersistentCookies() const {
-  int total = 0;
-  for (const HostResult& host : hosts) total += host.report.persistentCookies;
-  return total;
+namespace {
+
+// The completion summary a finished session stores, and its inverse: the
+// report fields recovery rebuilds from it.
+store::SessionMeta sessionMeta(const HostResult& result,
+                               std::string fingerprint) {
+  const core::HostReport& r = result.report;
+  return {.complete = true, .pagesVisited = result.pagesVisited,
+          .persistentCookies = r.persistentCookies,
+          .markedUseful = r.markedUseful, .pageViews = r.pageViews,
+          .hiddenRequests = r.hiddenRequests,
+          .trainingActive = r.trainingActive, .enforced = r.enforced,
+          .fingerprint = std::move(fingerprint)};
 }
+
+core::HostReport recoveredReport(const std::string& host,
+                                 const store::SessionMeta& meta) {
+  return {.host = host, .persistentCookies = meta.persistentCookies,
+          .markedUseful = meta.markedUseful, .pageViews = meta.pageViews,
+          .hiddenRequests = meta.hiddenRequests,
+          .trainingActive = meta.trainingActive, .enforced = meta.enforced};
+}
+
+}  // namespace
 
 int FleetReport::totalMarkedUseful() const {
   int total = 0;
@@ -91,22 +105,17 @@ HostResult TrainingFleet::runHostSession(const server::SiteSpec& spec) const {
   // happens before the session obs scope opens so the per-session metrics
   // stay identical between recovered and uninterrupted runs.
   store::HostStore* shard = nullptr;
+  std::string fingerprint;
   if (config_.stateStore != nullptr) {
-    const std::string fingerprint = configFingerprint();
+    fingerprint = configFingerprint();
     shard = config_.stateStore->openHost(spec.domain);
     const store::ReplayedState& rec = shard->recovered();
     if (rec.meta.complete && rec.meta.fingerprint == fingerprint) {
       result.recovered = true;
+      result.report = recoveredReport(spec.domain, rec.meta);
+      result.pagesVisited = rec.meta.pagesVisited;
       result.state = rec.stateBlob;
       result.jarState = rec.jarBlob;
-      result.pagesVisited = rec.meta.pagesVisited;
-      result.report.host = spec.domain;
-      result.report.persistentCookies = rec.meta.persistentCookies;
-      result.report.markedUseful = rec.meta.markedUseful;
-      result.report.pageViews = rec.meta.pageViews;
-      result.report.hiddenRequests = rec.meta.hiddenRequests;
-      result.report.trainingActive = rec.meta.trainingActive;
-      result.report.enforced = rec.meta.enforced;
       if (config_.collectObservability) {
         result.metrics = store::decodeMetricsSnapshot(rec.metricsText);
         result.auditJsonl = rec.auditJsonl;
@@ -116,66 +125,15 @@ HostResult TrainingFleet::runHostSession(const server::SiteSpec& spec) const {
     shard->beginSession(fingerprint);
   }
 
-  // Everything below is session-local: its own clock, jar, and an RNG stream
-  // keyed by the host name — a pure function of (seed, host, views).
-  util::SimClock clock;
-  browser::Browser browser(network_, clock, config_.policy,
-                           config_.seed ^ util::fnv1a64(spec.domain));
-  core::CookiePickerConfig pickerConfig = config_.picker;
-  pickerConfig.sharedKnowledge = config_.knowledge;
-  core::CookiePicker picker(browser, pickerConfig);
-  if (shard != nullptr) {
-    picker.attachStateSink(shard);
-  }
-
-  // Session-scoped flight recorder: every obs::count / span / audit append
-  // on this thread lands in these sinks until the scope ends, so metrics
-  // attribute per host session no matter which worker runs it.
-  obs::MetricsRegistry sessionMetrics(config_.collectObservability);
-  obs::AuditTrail sessionAudit;
-  std::optional<obs::ScopedObsSession> obsScope;
-  if (config_.collectObservability) {
-    obsScope.emplace(&sessionMetrics, &sessionAudit);
-  }
-
-  const int pages = std::max(1, spec.pageCount);
-  for (int view = 0; view < config_.viewsPerHost; ++view) {
-    picker.browse("http://" + spec.domain + "/page" +
-                  std::to_string(view % pages));
-    ++result.pagesVisited;
-  }
-  if (config_.enforceStableAfterRun) {
-    picker.enforceStableHosts();
-  }
-  result.report = picker.report(spec.domain);
-  result.state = picker.saveState();
-  result.jarState = browser.jar().serialize();
-  if (config_.knowledge != nullptr) {
-    // Publish inside the session obs scope so the merge counters land in
-    // the per-session snapshot — sessions touch only their own host's
-    // entry, so the counts stay deterministic for any worker count.
-    picker.publishKnowledge();
-  }
-  if (config_.collectObservability) {
-    obsScope.reset();  // detach before snapshotting
-    result.metrics = sessionMetrics.snapshot();
-    result.auditJsonl = sessionAudit.jsonl();
-  }
+  static_cast<core::SessionResult&>(result) = core::runHostSession(
+      network_, spec.domain, spec.pageCount, config_.viewsPerHost, config_,
+      shard, config_.collectObservability);
   if (shard != nullptr) {
     // Seal outside the obs scope: finalize's own compaction counters must
     // not land in the session snapshot (a recovered host never reruns
     // finalize, so they could not be reproduced on recovery).
-    store::SessionMeta meta;
-    meta.complete = true;
-    meta.pagesVisited = result.pagesVisited;
-    meta.persistentCookies = result.report.persistentCookies;
-    meta.markedUseful = result.report.markedUseful;
-    meta.pageViews = result.report.pageViews;
-    meta.hiddenRequests = result.report.hiddenRequests;
-    meta.trainingActive = result.report.trainingActive;
-    meta.enforced = result.report.enforced;
-    meta.fingerprint = configFingerprint();
-    shard->finalize(meta, result.state, result.jarState,
+    shard->finalize(sessionMeta(result, std::move(fingerprint)),
+                    result.state, result.jarState,
                     store::encodeMetricsSnapshot(result.metrics),
                     result.auditJsonl);
   }

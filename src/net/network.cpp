@@ -66,11 +66,6 @@ void Network::registerHost(const std::string& host,
   hosts_[key] = std::move(entry);
 }
 
-bool Network::knowsHost(const std::string& host) const {
-  std::shared_lock lock(registryMutex_);
-  return hosts_.contains(util::toLowerAscii(host));
-}
-
 void Network::setFaultPlan(std::shared_ptr<const faults::FaultPlan> plan) {
   std::lock_guard lock(faultPlanMutex_);
   faultPlan_ = std::move(plan);

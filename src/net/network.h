@@ -61,7 +61,6 @@ class Network : public Transport {
   void registerHost(const std::string& host,
                     std::shared_ptr<HttpHandler> handler,
                     LatencyProfile profile = LatencyProfile::typical());
-  bool knowsHost(const std::string& host) const;
 
   // Dispatches a request to the host's handler. Unknown hosts get a
   // synthetic 404 with fast latency (a resolver failure would be faster

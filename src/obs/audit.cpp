@@ -1,38 +1,12 @@
 #include "obs/audit.h"
 
 #include <charconv>
-#include <cstdio>
+
+#include "util/strings.h"
 
 namespace cookiepicker::obs {
 
 namespace {
-
-// JSON string escaping for the few byte values that need it; everything
-// else passes through (our hosts/paths/evidence are ASCII by construction,
-// but cookie names are attacker-influenced, so control bytes must survive).
-void appendEscaped(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-        break;
-    }
-  }
-  out += '"';
-}
 
 // Shortest round-trip rendering: strtod(to_chars(x)) == x exactly, and the
 // bytes are a pure function of the double — the determinism anchor.
@@ -54,7 +28,7 @@ void appendKey(std::string& out, const char* key) {
 void appendStringField(std::string& out, const char* key,
                        std::string_view value) {
   appendKey(out, key);
-  appendEscaped(out, value);
+  util::appendJsonString(out, value);
 }
 
 void appendDoubleField(std::string& out, const char* key, double value) {
@@ -91,7 +65,7 @@ void appendArrayField(std::string& out, const char* key,
   out += '[';
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i != 0) out += ',';
-    appendEscaped(out, values[i]);
+    util::appendJsonString(out, values[i]);
   }
   out += ']';
 }

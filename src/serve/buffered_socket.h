@@ -35,17 +35,12 @@ class BufferedSocket {
   // Writes until the outbox empties or EAGAIN; returns false on hard error.
   bool flush();
   bool wantsWrite() const { return !outbox_.empty(); }
-  std::size_t outboxBytes() const { return outbox_.size(); }
 
   // Peer closed its write side (read returned 0).
   bool eof() const { return eof_; }
   bool hadError() const { return error_; }
   int fd() const { return fd_; }
 
-  std::size_t bytesRead() const { return bytesRead_; }
-  std::size_t bytesWritten() const { return bytesWritten_; }
-
-  void shutdownWrite();
   void close();
 
  private:
@@ -54,8 +49,6 @@ class BufferedSocket {
   std::string outbox_;
   bool eof_ = false;
   bool error_ = false;
-  std::size_t bytesRead_ = 0;
-  std::size_t bytesWritten_ = 0;
 };
 
 }  // namespace cookiepicker::serve

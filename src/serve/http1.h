@@ -118,10 +118,6 @@ class ResponseParser {
   // returns NeedMore only when no message was in flight at all.
   ParseStatus finishAtEof(ParsedResponse* out);
 
-  // A status line or later has been buffered for the in-flight message —
-  // distinguishes "dropped before answering" from "dropped mid-answer".
-  bool messageStarted() const { return !buffer_.empty(); }
-
   const std::string& error() const { return error_; }
 
  private:

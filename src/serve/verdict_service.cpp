@@ -1,13 +1,10 @@
 #include "serve/verdict_service.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
+#include <optional>
 #include <vector>
 
-#include "browser/browser.h"
-#include "cookies/jar.h"
-#include "util/clock.h"
 #include "util/strings.h"
 
 namespace cookiepicker::serve {
@@ -30,39 +27,30 @@ std::string queryParam(const std::string& query, const std::string& key) {
   return std::string();
 }
 
-std::string jsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+// The `views` query value: a decimal integer in [1, kMaxVerdictViews],
+// consumed whole; nullopt for anything else.
+std::optional<int> parseViews(const std::string& text) {
+  int views = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, views);
+  if (ec != std::errc() || ptr != end || views < 1 ||
+      views > kMaxVerdictViews) {
+    return std::nullopt;
   }
-  return out;
+  return views;
 }
 
+// Indexed by core::KnowledgeOutcome.
+constexpr const char* kKnowledgeOutcomeNames[] = {"unconsulted", "warm",
+                                                  "cold", "demoted"};
+
+// Appends `,"field":["a","b"]`.
 void appendNameArray(std::string& json, const char* field,
                      const std::vector<std::string>& names) {
-  json += "\"";
-  json += field;
-  json += "\":[";
+  util::appendParts(json, {",\"", field, "\":["});
   for (std::size_t i = 0; i < names.size(); ++i) {
     if (i > 0) json += ',';
-    json += '"';
-    json += jsonEscape(names[i]);
-    json += '"';
+    util::appendJsonString(json, names[i]);
   }
   json += "]";
 }
@@ -92,7 +80,9 @@ std::uint64_t VerdictService::sessionsRun() const {
   return sessionsRun_;
 }
 
-std::string VerdictService::runVerdict(const std::string& host, int views) {
+std::string VerdictService::runVerdict(const std::string& requestedHost,
+                                       int views) {
+  const std::string host = util::toLowerAscii(requestedHost);
   int pages = 1;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -102,70 +92,30 @@ std::string VerdictService::runVerdict(const std::string& host, int views) {
     ++sessionsRun_;
   }
 
-  // The fleet's session recipe: everything session-local, RNG keyed by the
-  // host name, so the deterministic half of the verdict is a pure function
-  // of (seed, host, views) — whatever transport carries the bytes.
-  util::SimClock clock;
-  browser::Browser browser(transport_, clock, config_.policy,
-                           config_.seed ^ util::fnv1a64(host));
-  core::CookiePickerConfig pickerConfig = config_.picker;
-  pickerConfig.sharedKnowledge = config_.knowledge;
-  core::CookiePicker picker(browser, pickerConfig);
-  const int viewCount = std::max(1, views);
-  for (int view = 0; view < viewCount; ++view) {
-    picker.browse("http://" + host + "/page" + std::to_string(view % pages));
-  }
-  if (config_.enforceStableAfterRun) picker.enforceStableHosts();
-  std::string knowledgeOutcome;
-  if (config_.knowledge != nullptr) {
-    picker.publishKnowledge();
-    switch (picker.knowledgeOutcome(host)) {
-      case core::KnowledgeOutcome::Unconsulted:
-        knowledgeOutcome = "unconsulted";
-        break;
-      case core::KnowledgeOutcome::Warm:
-        knowledgeOutcome = "warm";
-        break;
-      case core::KnowledgeOutcome::Cold:
-        knowledgeOutcome = "cold";
-        break;
-      case core::KnowledgeOutcome::Demoted:
-        knowledgeOutcome = "demoted";
-        break;
-    }
-  }
-  const core::HostReport report = picker.report(host);
+  const int viewCount = std::clamp(views, 1, kMaxVerdictViews);
+  const core::SessionResult session = core::runHostSession(
+      transport_, host, pages, viewCount, config_, nullptr, false);
+  const core::HostReport& r = session.report;
 
-  std::vector<std::string> useful;
-  std::vector<std::string> blocked;
-  for (const cookies::CookieRecord* record :
-       browser.jar().persistentCookiesForHost(host)) {
-    (record->useful ? useful : blocked).push_back(record->key.name);
-  }
-  // Enforcement may have purged blocked cookies from the jar already; the
-  // report's counts stay authoritative, the name lists are best-effort.
-  std::sort(useful.begin(), useful.end());
-  std::sort(blocked.begin(), blocked.end());
-
-  std::string json = "{";
-  json += "\"host\":\"" + jsonEscape(host) + "\",";
-  json += "\"views\":" + std::to_string(viewCount) + ",";
-  json += "\"persistentCookies\":" + std::to_string(report.persistentCookies) +
-          ",";
-  json += "\"markedUseful\":" + std::to_string(report.markedUseful) + ",";
-  json += "\"pageViews\":" + std::to_string(report.pageViews) + ",";
-  json += "\"hiddenRequests\":" + std::to_string(report.hiddenRequests) + ",";
-  json += std::string("\"trainingActive\":") +
-          (report.trainingActive ? "true" : "false") + ",";
-  json += std::string("\"enforced\":") + (report.enforced ? "true" : "false") +
-          ",";
-  appendNameArray(json, "usefulCookies", useful);
-  json += ",";
-  appendNameArray(json, "blockedCookies", blocked);
+  std::string json = "{\"host\":";
+  util::appendJsonString(json, host);
+  util::appendParts(
+      json, {",\"views\":", std::to_string(viewCount),
+             ",\"persistentCookies\":", std::to_string(r.persistentCookies),
+             ",\"markedUseful\":", std::to_string(r.markedUseful),
+             ",\"pageViews\":", std::to_string(r.pageViews),
+             ",\"hiddenRequests\":", std::to_string(r.hiddenRequests),
+             ",\"trainingActive\":", r.trainingActive ? "true" : "false",
+             ",\"enforced\":", r.enforced ? "true" : "false"});
+  appendNameArray(json, "usefulCookies", session.usefulCookies);
+  appendNameArray(json, "blockedCookies", session.blockedCookies);
   // Only present when a shared base is attached, so knowledge-free
   // deployments keep their historical verdict bytes.
-  if (!knowledgeOutcome.empty()) {
-    json += ",\"knowledge\":\"" + knowledgeOutcome + "\"";
+  if (config_.knowledge != nullptr) {
+    util::appendParts(json, {",\"knowledge\":\"",
+                             kKnowledgeOutcomeNames[static_cast<int>(
+                                 session.knowledgeOutcome)],
+                             "\""});
   }
   json += "}";
   return json;
@@ -184,15 +134,18 @@ net::HttpResponse VerdictService::handle(const net::HttpRequest& request) {
         200, "{\"sessionsRun\":" + std::to_string(sessionsRun()) + "}");
   }
   if (path == "/verdict") {
-    const std::string host =
-        util::toLowerAscii(queryParam(request.url.query(), "host"));
+    const std::string host = queryParam(request.url.query(), "host");
     if (host.empty()) {
       return jsonResponse(400, "{\"error\":\"missing host parameter\"}");
     }
     const std::string viewsText = queryParam(request.url.query(), "views");
-    const int views =
-        viewsText.empty() ? config_.defaultViews : std::atoi(viewsText.c_str());
-    std::string verdict = runVerdict(host, views);
+    const std::optional<int> views =
+        viewsText.empty() ? config_.defaultViews : parseViews(viewsText);
+    if (!views.has_value()) {
+      return jsonResponse(400, "{\"error\":\"views must be an integer in [1, " +
+                                   std::to_string(kMaxVerdictViews) + "]\"}");
+    }
+    std::string verdict = runVerdict(host, *views);
     if (verdict.empty()) {
       return jsonResponse(400, "{\"error\":\"unknown host\"}");
     }

@@ -3,18 +3,20 @@
 // An HttpHandler exposing cookie-usefulness verdicts over HTTP — the
 // service half of `cookiepicker serve`. A request names a host from the
 // roster; the service runs a full CookiePicker training session for it
-// (fresh Browser + jar + SimClock, RNG keyed by host name, exactly the
-// fleet's session recipe) with every fetch flowing through the injected
-// net::Transport — the sim for reference runs, the SocketTransport for the
-// real service tier, where hidden requests become batched pipelined
-// fetches against the origin tier.
+// (core::runHostSession, the fleet's session recipe) with every fetch
+// flowing through the injected net::Transport — the sim for reference
+// runs, the SocketTransport for the real service tier, where hidden
+// requests become batched pipelined fetches against the origin tier.
 //
 // Routes:
 //   GET /healthz               → 200 "ok"
 //   GET /verdict?host=H[&views=N] → verdict JSON: session report plus the
 //       sorted useful/blocked persistent-cookie names. Deterministic
 //       fields only — no timing — so two runs (or sim vs. socket) can be
-//       compared byte-for-byte; the soak harness does exactly that.
+//       compared byte-for-byte; the soak harness does exactly that. N must
+//       be a decimal integer in [1, kMaxVerdictViews] (default
+//       defaultViews); anything else, like an unknown host, is a 400 and
+//       runs no session.
 //   GET /stats                 → service counters JSON
 #pragma once
 
@@ -23,26 +25,19 @@
 #include <mutex>
 #include <string>
 
-#include "cookies/policy.h"
-#include "core/cookie_picker.h"
-#include "knowledge/knowledge_base.h"
+#include "core/session.h"
 #include "net/transport.h"
 
 namespace cookiepicker::serve {
 
-struct VerdictServiceConfig {
+// The handler runs on the serve loop; an unbounded `views` would stall it.
+inline constexpr int kMaxVerdictViews = 1000;
+
+// The session settings plus the default view count. With `knowledge` set
+// the verdict JSON gains a "knowledge" field naming the consult outcome;
+// null keeps the bytes the sim-vs-socket parity soaks compare.
+struct VerdictServiceConfig : core::SessionConfig {
   int defaultViews = 12;
-  std::uint64_t seed = 2007;
-  core::CookiePickerConfig picker;
-  cookies::CookiePolicy policy = cookies::CookiePolicy::recommended();
-  bool enforceStableAfterRun = true;
-  // Crowd-shared knowledge (optional, not owned). When set, every verdict
-  // session consults it (warm hosts answer with ~0 hidden requests) and
-  // publishes its export back, and the verdict JSON gains a "knowledge"
-  // field naming the consult outcome. Null keeps the JSON byte-identical
-  // to a service that predates the knowledge tier, which is what the
-  // sim-vs-socket parity soaks compare.
-  knowledge::KnowledgeBase* knowledge = nullptr;
 };
 
 class VerdictService : public net::HttpHandler {
@@ -55,8 +50,9 @@ class VerdictService : public net::HttpHandler {
 
   net::HttpResponse handle(const net::HttpRequest& request) override;
 
-  // The verdict body for `host` without the HTTP shell (used directly by
-  // the soak harness and the CLI's --once mode).
+  // The verdict body for `host` (any ASCII case; empty if unknown) without
+  // the HTTP shell, for the soak harness and the CLI's --once mode. `views`
+  // is clamped to [1, kMaxVerdictViews].
   std::string runVerdict(const std::string& host, int views);
 
   std::uint64_t sessionsRun() const;

@@ -27,8 +27,6 @@ void Logger::setThreadWorkerIndex(int workerIndex) {
   t_workerIndex = workerIndex < 0 ? -1 : workerIndex;
 }
 
-int Logger::threadWorkerIndex() { return t_workerIndex; }
-
 const char* Logger::levelName(LogLevel level) {
   switch (level) {
     case LogLevel::Trace:

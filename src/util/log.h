@@ -27,7 +27,6 @@ class Logger {
   // Optional per-thread tag included in log lines (fleet worker index).
   // Negative clears the tag. Thread-local: each worker tags itself.
   static void setThreadWorkerIndex(int workerIndex);
-  static int threadWorkerIndex();
 };
 
 namespace detail {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 
 #include "util/scan.h"
 
@@ -231,6 +232,30 @@ bool hasAdSignalToken(std::string_view value) {
     }
   }
   return false;
+}
+
+void appendJsonString(std::string& out, std::string_view text) {
+  out += '"';
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buffer;
+        } else {
+          out += c;
+        }
+        break;
+    }
+  }
+  out += '"';
 }
 
 void appendEscapedStateField(std::string& out, std::string_view field) {

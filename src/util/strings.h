@@ -56,6 +56,12 @@ void collapseWhitespaceInto(std::string_view text, std::string& out);
 void appendParts(std::string& out,
                  std::initializer_list<std::string_view> parts);
 
+// Appends `text` as a quoted JSON string. Only '"', '\\' and control bytes
+// are escaped; everything else passes through (hosts and paths are ASCII
+// by construction, but cookie names are attacker-influenced, so control
+// bytes must survive).
+void appendJsonString(std::string& out, std::string_view text);
+
 // Serialized-state field escaping. The persistence formats (FORCUM site
 // lines, jar records, store WAL payloads) use '\t', ';', '|' and '\n' as
 // structural separators, while cookie names/domains/paths are

@@ -158,6 +158,12 @@ TEST(Strings, ToLowerAscii) {
   EXPECT_EQ(toLowerAscii(""), "");
 }
 
+TEST(Strings, AppendJsonStringEscapesQuotesBackslashesAndControlBytes) {
+  std::string out = "x";
+  util::appendJsonString(out, std::string("a\"b\\c\n\r\t\x01\x1f\x7f\0z", 13));
+  EXPECT_EQ(out, "x\"a\\\"b\\\\c\\n\\r\\t\\u0001\\u001f\x7f\\u0000z\"");
+}
+
 TEST(Strings, EqualsIgnoreCase) {
   EXPECT_TRUE(equalsIgnoreCase("Set-Cookie", "set-cookie"));
   EXPECT_FALSE(equalsIgnoreCase("Set-Cookie", "set-cookie2"));

@@ -738,7 +738,9 @@ int usage() {
       "         [--attribution]\n"
       "         (verdict service over real sockets: synthetic origins on\n"
       "          an epoll tier, hidden fetches batched + pipelined with\n"
-      "          keep-alive; GET /verdict?host=H[&views=N] on port P;\n"
+      "          keep-alive; GET /verdict?host=H[&views=N] on port P,\n"
+      "          N in [1, 1000] (anything else is a 400; --views clamps\n"
+      "          to the same range);\n"
       "          --once runs one verdict to stdout and exits, HOST '-'\n"
       "          means the first roster site — see DESIGN.md section 12;\n"
       "          --knowledge-dir persists crowd-shared site knowledge:\n"
