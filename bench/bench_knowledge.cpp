@@ -6,8 +6,7 @@
 //   * Convergence curve — for fleet sizes 1 → 10k, N sequential users visit
 //     the same small roster while sharing one KnowledgeBase. Every user's
 //     OWN hidden fetches are counted through a per-user session metrics
-//     registry (the picker's report would echo imported crowd counters for
-//     warm users and hide exactly the effect being measured). The JSON
+//     registry: the fetches that user put on the wire. The JSON
 //     records, per size, the first (cold) user's bill, the last (warm)
 //     user's bill, and the mean. tools/bench.sh gates every
 //     "warm_hidden_requests" at MAX_WARM_HIDDEN_REQS (default 0): once one

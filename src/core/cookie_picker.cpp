@@ -132,8 +132,16 @@ void CookiePicker::consultKnowledgeLocked(const std::string& host) {
   knowledgeOutcomes_[host] = KnowledgeOutcome::Warm;
   obs::count(obs::Counter::KnowledgeHits);
   applyKnowledgeMarksLocked(host);
+  // The import raises the counters to the crowd's; report() leaves out how
+  // far, so the session reports only its own views and hidden requests.
+  const ForcumEngine::SiteState* before = forcum_.siteState(host);
+  const int ownViews = before != nullptr ? before->totalViews : 0;
+  const int ownHidden = before != nullptr ? before->hiddenRequests : 0;
   forcum_.importSharedSite(host, entry->totalViews, entry->hiddenRequests,
                            entry->quietViews, allKeys, entry->attributed);
+  const ForcumEngine::SiteState& after = *forcum_.siteState(host);
+  importedCounts_[host] = {after.totalViews - ownViews,
+                           after.hiddenRequests - ownHidden};
   enforceForHostLocked(host);
 }
 
@@ -382,6 +390,11 @@ HostReport CookiePicker::report(const std::string& host) const {
   if (const ForcumEngine::SiteState* state = forcum_.siteState(host)) {
     hostReport.pageViews = state->totalViews;
     hostReport.hiddenRequests = state->hiddenRequests;
+    const auto imported = importedCounts_.find(host);
+    if (imported != importedCounts_.end()) {
+      hostReport.pageViews -= imported->second.first;
+      hostReport.hiddenRequests -= imported->second.second;
+    }
     hostReport.averageDetectionMs = state->detectionTimesMs.mean();
     hostReport.averageDurationMs = state->durationsMs.mean();
     hostReport.trainingActive = state->trainingActive;

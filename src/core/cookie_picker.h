@@ -69,6 +69,10 @@ struct HostReport {
   std::string host;
   int persistentCookies = 0;
   int markedUseful = 0;
+  // This session's page views and hidden requests on the host. A warm
+  // consult max-joins the crowd's counters into the FORCUM site state,
+  // which exports and persists them; those imported counts are not this
+  // session's and are left out here.
   int pageViews = 0;
   int hiddenRequests = 0;
   double averageDetectionMs = 0.0;
@@ -176,6 +180,9 @@ class CookiePicker {
   std::map<std::string, KnowledgeOutcome> knowledgeOutcomes_;
   std::map<std::string, std::uint64_t> knowledgeEpochs_;
   std::map<std::string, std::set<cookies::CookieKey>> knowledgeUsefulKeys_;
+  // How far a warm import raised each host's FORCUM view and hidden-request
+  // counters; report() subtracts it.
+  std::map<std::string, std::pair<int, int>> importedCounts_;
 };
 
 }  // namespace cookiepicker::core

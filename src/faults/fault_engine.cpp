@@ -2,13 +2,30 @@
 
 namespace cookiepicker::faults {
 
-const FaultRule* HostFaultState::evaluate(const FaultPlan& plan,
-                                          std::uint64_t generation,
+bool shortCircuits(Action action) {
+  return action == Action::ServerError || action == Action::ConnectionDrop ||
+         action == Action::Timeout;
+}
+
+void PlanSlot::install(std::shared_ptr<const FaultPlan> plan) {
+  std::lock_guard lock(mutex_);
+  plan_ = std::move(plan);
+  ++generation_;
+}
+
+PlanSnapshot PlanSlot::load() const {
+  std::lock_guard lock(mutex_);
+  return {plan_, generation_};
+}
+
+const FaultRule* HostFaultState::evaluate(const PlanSnapshot& snapshot,
                                           std::string_view host, Scope kind,
                                           bool firstAttempt,
                                           util::Pcg32& rng) {
-  if (generation_ != generation) {
-    generation_ = generation;
+  if (snapshot.plan == nullptr || snapshot.plan->empty()) return nullptr;
+  const FaultPlan& plan = *snapshot.plan;
+  if (generation_ != snapshot.generation) {
+    generation_ = snapshot.generation;
     logicalIndex_.fill(0);
     flapCursor_.assign(plan.rules.size(), 0);
   }

@@ -59,6 +59,21 @@ HttpResponse HttpResponse::notFound(const std::string& path) {
   return response;
 }
 
+HttpResponse HttpResponse::errorPage(int status, std::string statusText) {
+  HttpResponse response;
+  response.status = status;
+  response.statusText = std::move(statusText);
+  response.headers.set("Content-Type", "text/html");
+  response.body = "<html><body><h1>" + std::to_string(status) + " " +
+                  response.statusText + "</h1></body></html>";
+  return response;
+}
+
+HttpResponse HttpResponse::serverError(int status) {
+  return errorPage(status,
+                   status == 503 ? "Service Unavailable" : "Server Error");
+}
+
 HttpResponse HttpResponse::redirect(const std::string& location, int status) {
   HttpResponse response;
   response.status = status;
@@ -89,31 +104,6 @@ std::size_t headerBytes(const HeaderMap& headers) {
 
 }  // namespace
 
-std::string toWireFormat(const HttpRequest& request) {
-  std::string wire =
-      request.method + " " + request.url.pathWithQuery() + " HTTP/1.1\r\n";
-  wire += "Host: " + request.url.host() + "\r\n";
-  for (const HeaderMap::Entry& entry : request.headers.entries()) {
-    wire += entry.name + ": " + entry.value + "\r\n";
-  }
-  wire += "\r\n";
-  wire += request.body;
-  return wire;
-}
-
-std::string toWireFormat(const HttpResponse& response) {
-  std::string wire = "HTTP/1.1 " + std::to_string(response.status) + " " +
-                     response.statusText + "\r\n";
-  for (const HeaderMap::Entry& entry : response.headers.entries()) {
-    wire += entry.name + ": " + entry.value + "\r\n";
-  }
-  wire += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
-  wire += "\r\n";
-  wire += response.body;
-  return wire;
-}
-
-// Mirrors toWireFormat term by term; the net tests pin the equality.
 std::size_t wireSize(const HttpRequest& request) {
   // "METHOD path HTTP/1.1\r\n" "Host: host\r\n" headers "\r\n" body
   const Url& url = request.url;

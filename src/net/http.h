@@ -84,16 +84,18 @@ struct HttpResponse {
   static HttpResponse ok(std::string body,
                          std::string contentType = "text/html");
   static HttpResponse notFound(const std::string& path);
+  // "<html><body><h1>{status} {statusText}</h1></body></html>" as text/html.
+  static HttpResponse errorPage(int status, std::string statusText);
+  // The synthetic 5xx a server-error fault answers with, on either
+  // transport.
+  static HttpResponse serverError(int status);
   static HttpResponse redirect(const std::string& location, int status = 302);
 };
 
-// Serialize to wire-format text; used by tests and by overhead accounting
-// (header bytes count toward transfer size).
-std::string toWireFormat(const HttpRequest& request);
-std::string toWireFormat(const HttpResponse& response);
-
-// toWireFormat(x).size(), computed without building the string (byte
-// accounting runs on every exchange and must not copy the body).
+// Size of the message as HTTP/1.1 wire text ("request line, Host, headers,
+// blank line, body"; responses always declare Content-Length), computed
+// without building the string: byte accounting runs on every exchange and
+// must not copy the body. The net tests pin it against a serializer.
 std::size_t wireSize(const HttpRequest& request);
 std::size_t wireSize(const HttpResponse& response);
 

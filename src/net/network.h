@@ -74,12 +74,9 @@ class Network : public Transport {
   // faulty run is as reproducible as a clean one. nullptr (or an empty
   // plan) disables injection. Installing a plan resets the per-host
   // schedule cursors; safe to call between or during runs.
-  void setFaultPlan(std::shared_ptr<const faults::FaultPlan> plan);
-  std::shared_ptr<const faults::FaultPlan> faultPlan() const;
-
-  // Legacy knob, kept as sugar: compiles to a one-rule plan that 503s any
-  // request with the given probability (<= 0 clears the plan).
-  void setFailureProbability(double probability);
+  void setFaultPlan(std::shared_ptr<const faults::FaultPlan> plan) {
+    faultPlan_.install(std::move(plan));
+  }
 
   std::uint64_t injectedFailures() const {
     return injectedFailures_.load(std::memory_order_relaxed);
@@ -93,9 +90,6 @@ class Network : public Transport {
   // extra workers win by overlapping waits.
   void setWallLatencyScale(double scale) {
     wallLatencyScale_.store(scale, std::memory_order_relaxed);
-  }
-  double wallLatencyScale() const {
-    return wallLatencyScale_.load(std::memory_order_relaxed);
   }
 
   // --- accounting (reset per experiment as needed) ---
@@ -166,17 +160,7 @@ class Network : public Transport {
   std::atomic<std::uint64_t> totalBytes_{0};
   std::atomic<std::uint64_t> injectedFailures_{0};
   std::atomic<double> wallLatencyScale_{0.0};
-  // The installed fault plan and its generation counter. Each install bumps
-  // the generation, which the per-host states notice to reset their
-  // cursors. A plain mutex: the critical section is two pointer-sized
-  // copies, far cheaper than the handler work it precedes.
-  std::shared_ptr<const faults::FaultPlan> faultPlan_;
-  std::uint64_t faultPlanGeneration_ = 0;
-  mutable std::mutex faultPlanMutex_;
+  faults::PlanSlot faultPlan_;
 };
-
-// The seeded-latency simulation is one transport among others; the name the
-// transport seam documentation uses for it.
-using SimTransport = Network;
 
 }  // namespace cookiepicker::net

@@ -4,10 +4,10 @@
 // speaks to this interface, not to a concrete network. Two implementations
 // exist:
 //
-//  * net::Network (aliased SimTransport): the in-process seeded-latency
-//    simulation. It answers synchronously, models latency from per-host RNG
-//    streams, and leaves retry/backoff timing to the caller's virtual
-//    clock — the determinism contract every byte-identity test rides on.
+//  * net::Network: the in-process seeded-latency simulation. It answers
+//    synchronously, models latency from per-host RNG streams, and leaves
+//    retry/backoff timing to the caller's virtual clock — the determinism
+//    contract every byte-identity test rides on.
 //  * serve::SocketTransport: real HTTP/1.1 over loopback sockets through an
 //    epoll event loop, with per-host connection pools and pipelining. It
 //    owns retry timing itself (attempts and backoffs run on the loop's
@@ -23,7 +23,9 @@
 #include <string>
 #include <vector>
 
+#include "faults/fault_engine.h"
 #include "net/http.h"
+#include "util/rng.h"
 
 namespace cookiepicker::net {
 
@@ -77,6 +79,25 @@ std::string fetchFailureReason(const HttpResponse& response);
 // A body shorter than its declared Content-Length — the signature a
 // mid-transfer truncation leaves behind.
 bool bodyTruncated(const HttpResponse& response);
+
+// --- fault injection, shared by the sim Network and the socket HttpServer.
+// The sim applies every effect to its Exchange, the server only those that
+// exist on the wire. The sim draws faults from its latency stream, the
+// server from a fault-only one; both are hostStreams.
+
+// The per-host stream: forked from `seed`, keyed by host name, so it does
+// not depend on registration order or on other hosts' traffic.
+util::Pcg32 hostStream(std::uint64_t seed, std::string_view host);
+// The installed plan's verdict for `request` to `host`: the request kind
+// picks the scope, and only a first attempt claims a new logical index.
+const faults::FaultRule* evaluateFault(const faults::PlanSnapshot& plan,
+                                       faults::HostFaultState& state,
+                                       const HttpRequest& request,
+                                       std::string_view host,
+                                       util::Pcg32& rng);
+// The corrupt-set-cookie effect: garbles every Set-Cookie value with draws
+// from `rng`, in header order. False (no draw) when no cookie is set.
+bool corruptSetCookies(HttpResponse& response, util::Pcg32& rng);
 
 class Transport {
  public:

@@ -78,7 +78,7 @@ enum class Counter : std::uint8_t {
   // recorded by the picker inside the session, so they are deterministic
   // per (seed, host, views); merges are recorded wherever the join runs
   // (inside a session for fleet publishes, the caller's registry for
-  // gossip rounds). ---
+  // merges between bases). ---
   KnowledgeHits,           // consults answered by a warm (stable) entry
   KnowledgeMisses,         // consults that fell back to the paper path
   KnowledgeDemotions,      // epoch bumps: observed cookie set changed

@@ -17,20 +17,9 @@ namespace cookiepicker::serve {
 
 namespace {
 
-faults::Scope scopeForKind(net::RequestKind kind) {
-  switch (kind) {
-    case net::RequestKind::Container: return faults::Scope::Container;
-    case net::RequestKind::Subresource: return faults::Scope::Subresource;
-    case net::RequestKind::Hidden: return faults::Scope::Hidden;
-  }
-  return faults::Scope::Container;
-}
-
-bool isShortCircuitAction(faults::Action action) {
-  return action == faults::Action::ServerError ||
-         action == faults::Action::ConnectionDrop ||
-         action == faults::Action::Timeout;
-}
+// Slow-drip responses are cut into this many chunked pieces, spaced evenly
+// across the rule's extra-ms.
+constexpr int kSlowDripPieces = 4;
 
 // The Host header without an optional :port suffix, lowercased.
 std::string hostOf(const ParsedRequest& parsed) {
@@ -38,18 +27,6 @@ std::string hostOf(const ParsedRequest& parsed) {
   const std::size_t colon = host.rfind(':');
   if (colon != std::string::npos) host.resize(colon);
   return util::toLowerAscii(host);
-}
-
-// Byte-identical to the sim Network's synthetic server-error page.
-net::HttpResponse syntheticServerError(int status) {
-  net::HttpResponse response;
-  response.status = status;
-  response.statusText =
-      status == 503 ? "Service Unavailable" : "Server Error";
-  response.headers.set("Content-Type", "text/html");
-  response.body = "<html><body><h1>" + std::to_string(status) + " " +
-                  response.statusText + "</h1></body></html>";
-  return response;
 }
 
 }  // namespace
@@ -102,9 +79,7 @@ std::uint16_t HttpServer::listen(std::uint16_t port) {
 }
 
 void HttpServer::setFaultPlan(std::shared_ptr<const faults::FaultPlan> plan) {
-  std::lock_guard<std::mutex> lock(faultPlanMutex_);
-  faultPlan_ = std::move(plan);
-  ++faultPlanGeneration_;
+  faultPlan_.install(std::move(plan));
 }
 
 void HttpServer::onAcceptable() {
@@ -182,17 +157,11 @@ void HttpServer::parseAndPump(Connection* conn) {
     if (status == ParseStatus::Error) {
       ++stats_.parseErrors;
       obs::countGlobal(obs::Counter::ServeParseErrors);
-      net::HttpResponse reject;
-      if (conn->parser.error() == "oversized-headers") {
-        reject.status = 431;
-        reject.statusText = "Request Header Fields Too Large";
-      } else {
-        reject.status = 400;
-        reject.statusText = "Bad Request";
-      }
-      reject.headers.set("Content-Type", "text/html");
-      reject.body = "<html><body><h1>" + std::to_string(reject.status) + " " +
-                    reject.statusText + "</h1></body></html>";
+      const net::HttpResponse reject =
+          conn->parser.error() == "oversized-headers"
+              ? net::HttpResponse::errorPage(431,
+                                             "Request Header Fields Too Large")
+              : net::HttpResponse::errorPage(400, "Bad Request");
       ResponseWireOptions options;
       options.keepAlive = false;
       conn->socket.queueWrite(serializeResponse(reject, options));
@@ -230,11 +199,9 @@ void HttpServer::pump(Connection* conn) {
 HttpServer::HostFaults& HttpServer::faultsFor(const std::string& host) {
   auto it = hostFaults_.find(host);
   if (it == hostFaults_.end()) {
-    HostFaults entry;
-    // Same per-host stream construction as the sim Network, so a plan with
-    // probabilistic gates draws comparably structured randomness.
-    entry.rng = util::Pcg32(seed_, /*sequence=*/0x6e657477UL).fork(host);
-    it = hostFaults_.emplace(host, std::move(entry)).first;
+    // A fault-only stream, built like the sim's per-host stream.
+    it = hostFaults_.emplace(host, HostFaults{{}, net::hostStream(seed_, host)})
+             .first;
   }
   return it->second;
 }
@@ -249,9 +216,8 @@ void HttpServer::serveOne(Connection* conn, const ParsedRequest& parsed) {
 
   if (handler == nullptr) {
     // Same page the sim serves for an unregistered host.
-    net::HttpResponse response = net::HttpResponse::notFound(
-        request.url.toString());
-    response.status = 404;
+    const net::HttpResponse response =
+        net::HttpResponse::notFound(request.url.toString());
     ++stats_.requestsServed;
     obs::countGlobal(obs::Counter::ServeRequestsServed);
     conn->socket.queueWrite(serializeResponse(response, options));
@@ -259,30 +225,20 @@ void HttpServer::serveOne(Connection* conn, const ParsedRequest& parsed) {
     return;
   }
 
-  std::shared_ptr<const faults::FaultPlan> plan;
-  std::uint64_t generation = 0;
-  {
-    std::lock_guard<std::mutex> lock(faultPlanMutex_);
-    plan = faultPlan_;
-    generation = faultPlanGeneration_;
-  }
-  const faults::FaultRule* fault = nullptr;
+  const faults::PlanSnapshot plan = faultPlan_.load();
   HostFaults& hostState = faultsFor(host);
-  if (plan != nullptr && !plan->empty()) {
-    fault = hostState.state.evaluate(*plan, generation, host,
-                                     scopeForKind(request.kind),
-                                     request.attempt == 0, hostState.rng);
-  }
+  const faults::FaultRule* fault = net::evaluateFault(
+      plan, hostState.state, request, host, hostState.rng);
 
-  if (fault != nullptr && isShortCircuitAction(fault->action)) {
+  if (fault != nullptr && faults::shortCircuits(fault->action)) {
     ++stats_.faultsInjected;
     obs::countGlobal(obs::Counter::ServeFaultsInjected);
     switch (fault->action) {
       case faults::Action::ServerError: {
         ++stats_.requestsServed;
         obs::countGlobal(obs::Counter::ServeRequestsServed);
-        conn->socket.queueWrite(
-            serializeResponse(syntheticServerError(fault->status), options));
+        conn->socket.queueWrite(serializeResponse(
+            net::HttpResponse::serverError(fault->status), options));
         if (!parsed.keepAlive) conn->closing = true;
         return;
       }
@@ -331,18 +287,10 @@ void HttpServer::serveOne(Connection* conn, const ParsedRequest& parsed) {
     }
     fault = nullptr;
   }
-  if (fault != nullptr && fault->action == faults::Action::CorruptSetCookie) {
-    const std::vector<std::string> setCookies =
-        response.headers.getAll("Set-Cookie");
-    if (!setCookies.empty()) {
-      ++stats_.faultsInjected;
-      obs::countGlobal(obs::Counter::ServeFaultsInjected);
-      response.headers.remove("Set-Cookie");
-      for (const std::string& value : setCookies) {
-        response.headers.add("Set-Cookie",
-                             faults::corruptHeaderValue(value, hostState.rng));
-      }
-    }
+  if (fault != nullptr && fault->action == faults::Action::CorruptSetCookie &&
+      net::corruptSetCookies(response, hostState.rng)) {
+    ++stats_.faultsInjected;
+    obs::countGlobal(obs::Counter::ServeFaultsInjected);
   }
   if (fault != nullptr && fault->action == faults::Action::SlowDrip) {
     ++stats_.faultsInjected;
@@ -351,16 +299,15 @@ void HttpServer::serveOne(Connection* conn, const ParsedRequest& parsed) {
     // connection is parked so pipelined responses keep request order.
     conn->busy = true;
     conn->socket.queueWrite(serializeChunkedHead(response, parsed.keepAlive));
-    const int pieces = std::max(1, config_.slowDripPieces);
-    const double stepMs = fault->extraLatencyMs / pieces;
-    const std::size_t pieceBytes =
-        std::max<std::size_t>(1, (response.body.size() + pieces - 1) / pieces);
+    const double stepMs = fault->extraLatencyMs / kSlowDripPieces;
+    const std::size_t pieceBytes = std::max<std::size_t>(
+        1, (response.body.size() + kSlowDripPieces - 1) / kSlowDripPieces);
     const int fd = conn->socket.fd();
     const std::uint64_t id = conn->id;
     const bool keepAlive = parsed.keepAlive;
     auto body = std::make_shared<std::string>(std::move(response.body));
-    for (int piece = 0; piece < pieces; ++piece) {
-      const bool last = piece == pieces - 1;
+    for (int piece = 0; piece < kSlowDripPieces; ++piece) {
+      const bool last = piece == kSlowDripPieces - 1;
       loop_.runAfter(stepMs * (piece + 1),
                      [this, fd, id, body, piece, pieceBytes, last, keepAlive,
                       alive = std::weak_ptr<char>(aliveToken_)]() {

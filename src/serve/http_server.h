@@ -9,7 +9,7 @@
 // here — but at the socket layer, where they belong in a real deployment:
 //
 //  * server-error     → synthetic 5xx written back, handler never runs,
-//                       byte-identical body to the sim's
+//                       the sim's page (net::HttpResponse::serverError)
 //  * connection-drop  → TCP close before any response bytes; pipelined
 //                       requests buffered behind the dropped one are
 //                       discarded unevaluated (the client re-sends them on
@@ -21,10 +21,12 @@
 //                       stops early, and the connection closes — the wire
 //                       shape of a mid-transfer cut
 //  * corrupt-set-cookie → Set-Cookie values garbled with the host's RNG
-//  * slow-drip        → the response trickles out as chunked pieces on
-//                       wheel timers spread over extra-ms
+//                       (net::corruptSetCookies, as in the sim)
+//  * slow-drip        → the response trickles out as four chunked pieces
+//                       on wheel timers spread over extra-ms
 //
-// Like the sim, fault schedules are per host: each host's cursors advance
+// The fault decision is the sim's (net::evaluateFault over a PlanSlot), and
+// like the sim, fault schedules are per host: each host's cursors advance
 // only with that host's requests, in arrival order on its (single) loop
 // thread — no locks needed, same determinism story.
 #pragma once
@@ -33,7 +35,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 
@@ -54,9 +55,6 @@ using HostRouter = std::function<net::HttpHandler*(const std::string& host)>;
 
 struct HttpServerConfig {
   Http1Limits limits;
-  // Slow-drip responses are cut into this many chunked pieces, spaced
-  // evenly across the rule's extra-ms.
-  int slowDripPieces = 4;
 };
 
 struct HttpServerStats {
@@ -127,10 +125,7 @@ class HttpServer {
   std::shared_ptr<char> aliveToken_ = std::make_shared<char>(0);
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;
   std::unordered_map<std::string, HostFaults> hostFaults_;
-
-  mutable std::mutex faultPlanMutex_;
-  std::shared_ptr<const faults::FaultPlan> faultPlan_;
-  std::uint64_t faultPlanGeneration_ = 0;
+  faults::PlanSlot faultPlan_;
 
   HttpServerStats stats_;
 };

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -30,7 +31,7 @@
 
 #include "core/cookie_picker.h"
 #include "faults/fault_plan.h"
-#include "fleet/aggregate.h"
+#include "fleet/fleet.h"
 #include "knowledge/knowledge_base.h"
 #include "knowledge/knowledge_store.h"
 #include "knowledge/site_knowledge.h"
@@ -45,7 +46,6 @@ namespace {
 namespace fs = std::filesystem;
 using knowledge::KnowledgeBase;
 using knowledge::SiteKnowledge;
-using testsupport::KnowledgeRunOptions;
 using testsupport::SimWorld;
 
 int fuzzScale() {
@@ -252,75 +252,71 @@ TEST(KnowledgePartitionOrder, AnyOrderDuplicationOrGroupingIsByteIdentical) {
   }
 }
 
-// --- 2b. gossip schedules over real fleets -----------------------------------
+// --- 2b. merging real fleets' knowledge --------------------------------------
 
-TEST(KnowledgeFleet, SingleRoundMergeIdenticalAcrossTopologies) {
+// One TrainingFleet over `roster` on a fresh sim network, publishing into
+// `base`. The low stable threshold lets training finish inside the views,
+// so the fleet publishes stable entries a later user could consult.
+void trainFleetInto(const std::vector<server::SiteSpec>& roster,
+                    std::uint64_t seed, int views, KnowledgeBase& base) {
+  util::SimClock serverClock;
+  net::Network network(seed);
+  server::registerRoster(network, serverClock, roster);
+  fleet::FleetConfig config;
+  config.seed = seed;
+  config.viewsPerHost = views;
+  config.picker.forcum.stableViewThreshold = 3;
+  config.knowledge = &base;
+  fleet::TrainingFleet(network, config).run(roster);
+}
+
+// Three independent user populations, each training its own base: own
+// seed, own session length (so the max-merged view counters differ).
+std::vector<std::unique_ptr<KnowledgeBase>> trainThreeFleets(
+    const std::vector<server::SiteSpec>& roster) {
+  std::vector<std::unique_ptr<KnowledgeBase>> bases;
+  for (int fleet = 0; fleet < 3; ++fleet) {
+    bases.push_back(std::make_unique<KnowledgeBase>());
+    trainFleetInto(roster, 1234 + static_cast<std::uint64_t>(fleet),
+                   6 + 2 * fleet, *bases.back());
+  }
+  return bases;
+}
+
+std::string mergedInOrder(
+    const std::vector<std::unique_ptr<KnowledgeBase>>& bases,
+    const std::array<std::size_t, 3>& order) {
+  KnowledgeBase merged;
+  for (const std::size_t index : order) merged.mergeFrom(*bases[index]);
+  return merged.serialize();
+}
+
+TEST(KnowledgeFleet, MergeIsByteIdenticalInEveryOrder) {
   const auto roster = server::measurementRoster(6, 21);
-  // One round: every fleet trains cold, so the contribution set is fixed
-  // and the full join cannot depend on which gossip schedule delivered it.
-  std::vector<std::string> merged;
-  for (const auto topology :
-       {fleet::GossipTopology::None, fleet::GossipTopology::Ring,
-        fleet::GossipTopology::Star, fleet::GossipTopology::AllToAll}) {
-    KnowledgeRunOptions options;
-    options.fleets = 3;
-    options.rounds = 1;
-    options.topology = topology;
-    const auto report = testsupport::runKnowledgeFleets(roster, options);
-    merged.push_back(report.mergedKnowledge);
-    EXPECT_FALSE(report.mergedKnowledge.empty());
-    if (topology == fleet::GossipTopology::AllToAll) {
-      // Full exchange: every replica already equals the join.
-      for (const auto& replica : report.replicaKnowledge) {
-        EXPECT_EQ(replica, report.mergedKnowledge);
-      }
-    }
-  }
-  for (std::size_t i = 1; i < merged.size(); ++i) {
-    EXPECT_EQ(merged[i], merged[0]) << "topology index " << i;
-  }
+  const auto bases = trainThreeFleets(roster);
+  // Sensitivity: the fleets learned different things, so the join has
+  // something to reconcile.
+  EXPECT_NE(bases[0]->serialize(), bases[2]->serialize());
+  std::array<std::size_t, 3> order = {0, 1, 2};
+  const std::string want = mergedInOrder(bases, order);
+  EXPECT_FALSE(want.empty());
+  int orders = 0;
+  do {
+    EXPECT_EQ(mergedInOrder(bases, order), want)
+        << order[0] << order[1] << order[2];
+    ++orders;
+  } while (std::next_permutation(order.begin(), order.end()));
+  EXPECT_EQ(orders, 6);
 }
 
 TEST(KnowledgeFleet, RepeatedRunsAreByteIdentical) {
   const auto roster = server::measurementRoster(5, 9);
-  KnowledgeRunOptions options;
-  options.fleets = 3;
-  options.rounds = 2;
-  const auto first = testsupport::runKnowledgeFleets(roster, options);
-  const auto second = testsupport::runKnowledgeFleets(roster, options);
-  EXPECT_EQ(first.mergedKnowledge, second.mergedKnowledge);
-  ASSERT_EQ(first.replicaKnowledge.size(), second.replicaKnowledge.size());
-  for (std::size_t i = 0; i < first.replicaKnowledge.size(); ++i) {
-    EXPECT_EQ(first.replicaKnowledge[i], second.replicaKnowledge[i]) << i;
+  const auto first = trainThreeFleets(roster);
+  const auto second = trainThreeFleets(roster);
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i]->serialize(), second[i]->serialize()) << i;
   }
-  ASSERT_EQ(first.rounds.size(), second.rounds.size());
-  for (std::size_t i = 0; i < first.rounds.size(); ++i) {
-    EXPECT_EQ(first.rounds[i].hiddenRequests, second.rounds[i].hiddenRequests);
-    EXPECT_EQ(first.rounds[i].knowledgeHits, second.rounds[i].knowledgeHits);
-  }
-}
-
-TEST(KnowledgeFleet, GossipCutsHiddenRequestsInLaterRounds) {
-  const auto roster = server::measurementRoster(6, 33);
-  KnowledgeRunOptions options;
-  options.fleets = 3;
-  options.rounds = 2;
-  options.topology = fleet::GossipTopology::AllToAll;
-  const auto report = testsupport::runKnowledgeFleets(roster, options);
-
-  std::uint64_t hiddenByRound[2] = {0, 0};
-  std::uint64_t hitsByRound[2] = {0, 0};
-  for (const auto& stats : report.rounds) {
-    ASSERT_LT(stats.round, 2);
-    hiddenByRound[stats.round] += stats.hiddenRequests;
-    hitsByRound[stats.round] += stats.knowledgeHits;
-  }
-  // Round 1 populations are warm from round 0's full exchange: they consult
-  // instead of training, so the hidden-request bill collapses.
-  EXPECT_GT(hiddenByRound[0], 0u);
-  EXPECT_LT(hiddenByRound[1], hiddenByRound[0]);
-  EXPECT_EQ(hitsByRound[0], 0u);
-  EXPECT_GT(hitsByRound[1], 0u);
+  EXPECT_EQ(mergedInOrder(first, {2, 0, 1}), mergedInOrder(second, {2, 0, 1}));
 }
 
 // --- 3. bootstrap differential ----------------------------------------------
@@ -685,24 +681,21 @@ TEST_F(KnowledgeStoreTest, LoadingMergesWithPrepopulatedBase) {
   EXPECT_EQ(*entry, joined(diskEntry, liveEntry));
 }
 
-TEST_F(KnowledgeStoreTest, FleetGossipPersistsThroughSharedBase) {
+TEST_F(KnowledgeStoreTest, FleetKnowledgePersistsThroughStore) {
   const auto roster = server::measurementRoster(4, 5);
-  std::string merged;
+  std::string trained;
   {
     KnowledgeBase base;
     knowledge::KnowledgeStore store(dir_.string());
     store.attach(base);
-    KnowledgeRunOptions options;
-    options.fleets = 2;
-    options.rounds = 1;
-    const auto report = testsupport::runKnowledgeFleets(roster, options, &base);
-    merged = report.mergedKnowledge;
-    EXPECT_EQ(base.serialize(), merged);
+    trainFleetInto(roster, 1234, 8, base);
+    trained = base.serialize();
+    EXPECT_FALSE(trained.empty());
   }
   KnowledgeBase reloaded;
   knowledge::KnowledgeStore store(dir_.string());
   store.attach(reloaded);
-  EXPECT_EQ(reloaded.serialize(), merged);
+  EXPECT_EQ(reloaded.serialize(), trained);
   EXPECT_EQ(store.sitesLoaded(), roster.size());
 }
 

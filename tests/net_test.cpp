@@ -9,9 +9,12 @@
 #include "net/http.h"
 #include "net/network.h"
 #include "net/url.h"
+#include "test_support.h"
 
 namespace cookiepicker::net {
 namespace {
+
+using testsupport::toWireFormat;
 
 // --- Url ----------------------------------------------------------------
 

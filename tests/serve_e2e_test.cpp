@@ -26,6 +26,7 @@
 #include "serve/socket_transport.h"
 #include "server/generator.h"
 #include "server/site.h"
+#include "test_support.h"
 #include "util/clock.h"
 
 namespace cookiepicker {
@@ -125,9 +126,9 @@ TEST(ServeE2E, CleanContentMatchesSimByteForByte) {
     // response as received. (The socket response carries a Content-Length
     // header sim handlers never set, so the absolute numbers differ.)
     EXPECT_EQ(socketed.responseBytes,
-              net::toWireFormat(socketed.response).size());
+              testsupport::toWireFormat(socketed.response).size());
     EXPECT_EQ(simmed.responseBytes,
-              net::toWireFormat(simmed.response).size());
+              testsupport::toWireFormat(simmed.response).size());
   }
 }
 

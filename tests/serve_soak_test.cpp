@@ -291,12 +291,58 @@ TEST(ServeSoak, VerdictBytesPin) {
   EXPECT_NE(cold.find("\"knowledge\":\"cold\""), std::string::npos);
   EXPECT_NE(warm.find("\"knowledge\":\"warm\""), std::string::npos);
   EXPECT_EQ(util::fnv1a64(cold), 0xe2e3083afe986ffdull) << cold;
-  EXPECT_EQ(util::fnv1a64(warm), 0xa11002ebda90e0abull) << warm;
+  EXPECT_EQ(util::fnv1a64(warm), 0xd431c78103817025ull) << warm;
 
   serve::VerdictServiceConfig provenance;
   provenance.picker.forcum.attribution = core::AttributionMode::Provenance;
   const std::string attributed = verdictPass(provenance);
   EXPECT_EQ(util::fnv1a64(attributed), 0x4d7fee1bfaf66174ull) << attributed;
+}
+
+// A warm session reports its own views and hidden requests, not the crowd
+// counters its consult max-joined into the site state: a warm verdict
+// answers pageViews == views and hiddenRequests == 0, and so does the
+// fleet's HostResult, which runs the same session recipe.
+TEST(ServeSoak, WarmSessionsReportTheirOwnCounts) {
+  knowledge::KnowledgeBase shared;
+  serve::VerdictServiceConfig withKnowledge;
+  withKnowledge.picker.forcum.stableViewThreshold = 3;
+  withKnowledge.knowledge = &shared;
+  verdictPass(withKnowledge);  // cold: trains and publishes
+  const std::string warm = verdictPass(withKnowledge);
+  int warmVerdicts = 0;
+  std::size_t begin = 0;
+  for (std::size_t end = warm.find('\n'); end != std::string::npos;
+       begin = end + 1, end = warm.find('\n', begin)) {
+    const std::string verdict = warm.substr(begin, end - begin);
+    if (verdict.find("\"knowledge\":\"warm\"") == std::string::npos) continue;
+    ++warmVerdicts;
+    EXPECT_NE(verdict.find(",\"pageViews\":" + std::to_string(kPinViews) +
+                           ",\"hiddenRequests\":0,"),
+              std::string::npos)
+        << verdict;
+  }
+  EXPECT_GT(warmVerdicts, 0);
+
+  const std::vector<server::SiteSpec> roster = server::table2Roster();
+  fleet::FleetConfig fleetConfig;
+  fleetConfig.seed = kSeed;
+  fleetConfig.viewsPerHost = kPinViews;
+  fleetConfig.picker = withKnowledge.picker;
+  fleetConfig.knowledge = &shared;
+  util::SimClock siteClock;
+  net::Network network(kSeed);
+  server::registerRoster(network, siteClock, roster);
+  const fleet::FleetReport report =
+      fleet::TrainingFleet(network, fleetConfig).run(roster);
+  int warmHosts = 0;
+  for (const fleet::HostResult& host : report.hosts) {
+    if (host.knowledgeOutcome != core::KnowledgeOutcome::Warm) continue;
+    ++warmHosts;
+    EXPECT_EQ(host.report.pageViews, kPinViews) << host.host;
+    EXPECT_EQ(host.report.hiddenRequests, 0) << host.host;
+  }
+  EXPECT_EQ(warmHosts, warmVerdicts);
 }
 
 // The batch fleet and the verdict service run the same per-site session:

@@ -7,9 +7,8 @@
 
 #include "browser/browser.h"
 #include "faults/fault_plan.h"
-#include "fleet/aggregate.h"
 #include "fleet/fleet.h"
-#include "knowledge/knowledge_base.h"
+#include "net/http.h"
 #include "net/network.h"
 #include "server/generator.h"
 #include "server/site.h"
@@ -17,6 +16,32 @@
 #include "util/clock.h"
 
 namespace cookiepicker::testsupport {
+
+// The message as HTTP/1.1 wire text — the reference net::wireSize is pinned
+// against (responses always declare Content-Length, as wireSize counts).
+inline std::string toWireFormat(const net::HttpRequest& request) {
+  std::string wire =
+      request.method + " " + request.url.pathWithQuery() + " HTTP/1.1\r\n";
+  wire += "Host: " + request.url.host() + "\r\n";
+  for (const net::HeaderMap::Entry& entry : request.headers.entries()) {
+    wire += entry.name + ": " + entry.value + "\r\n";
+  }
+  wire += "\r\n";
+  wire += request.body;
+  return wire;
+}
+
+inline std::string toWireFormat(const net::HttpResponse& response) {
+  std::string wire = "HTTP/1.1 " + std::to_string(response.status) + " " +
+                     response.statusText + "\r\n";
+  for (const net::HeaderMap::Entry& entry : response.headers.entries()) {
+    wire += entry.name + ": " + entry.value + "\r\n";
+  }
+  wire += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
+  wire += "\r\n";
+  wire += response.body;
+  return wire;
+}
 
 // A little internet: network + clock + browser wired together, with helpers
 // to drop sites in.
@@ -88,42 +113,6 @@ inline fleet::FleetReport runMeasurementFleet(
   config.stateStore = options.stateStore;
   fleet::TrainingFleet trainingFleet(network, config);
   return trainingFleet.run(roster);
-}
-
-// The N-fleet spawn/gossip/merge recipe shared by the fleet, knowledge and
-// serve suites: build a KnowledgeFleetConfig from FleetRunOptions-style
-// knobs and run the aggregation driver. Callers vary the topology/round
-// count and compare serialized knowledge; everything else stays pinned so
-// two calls differ only where the test means them to.
-struct KnowledgeRunOptions {
-  int fleets = 3;
-  int rounds = 2;
-  fleet::GossipTopology topology = fleet::GossipTopology::Ring;
-  int workers = 1;
-  int viewsPerHost = 8;
-  // Low enough that training finishes inside viewsPerHost views — gossip
-  // has nothing to share unless round-one sites actually reach stable.
-  int stableViewThreshold = 3;
-  std::uint64_t seed = 1234;
-  bool collectObservability = true;
-  std::shared_ptr<const faults::FaultPlan> faultPlan;
-};
-
-inline fleet::KnowledgeFleetReport runKnowledgeFleets(
-    const std::vector<server::SiteSpec>& roster,
-    const KnowledgeRunOptions& options,
-    knowledge::KnowledgeBase* sharedBase = nullptr) {
-  fleet::KnowledgeFleetConfig config;
-  config.fleets = options.fleets;
-  config.rounds = options.rounds;
-  config.topology = options.topology;
-  config.faultPlan = options.faultPlan;
-  config.base.workers = options.workers;
-  config.base.viewsPerHost = options.viewsPerHost;
-  config.base.picker.forcum.stableViewThreshold = options.stableViewThreshold;
-  config.base.seed = options.seed;
-  config.base.collectObservability = options.collectObservability;
-  return fleet::runKnowledgeFleets(roster, config, sharedBase);
 }
 
 }  // namespace cookiepicker::testsupport

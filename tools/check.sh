@@ -31,7 +31,7 @@
 # The knowledge-soak configs re-run the shared-knowledge property suite
 # (lattice laws, partition-order byte-identity, the epoch-guard
 # demote/merge race) in the TSan and ASan trees with COOKIEPICKER_FUZZ=8,
-# which scales the fuzzed lattice states and gossip-order permutations
+# which scales the fuzzed lattice states and merge-order permutations
 # eightfold. The taint configs re-run the provenance tier suite (map
 # normalization and framing over hostile inputs, taint-stamped streaming
 # snapshots, the attribution-vs-bisection differential, the shared-region
@@ -166,7 +166,7 @@ for config in "${CONFIGS[@]}"; do
     knowledge-thread)
       # The shared-knowledge suite scaled eightfold in the TSan tree: the
       # shard-locked base takes concurrent demote/merge/lookup traffic (the
-      # epoch-guard race), and fleets gossip replicas across worker threads.
+      # epoch-guard race), and training fleets publish into it.
       sanitize="thread"
       fuzz_env="8"
       test_filter="Knowledge"

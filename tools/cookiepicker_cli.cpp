@@ -603,7 +603,7 @@ int runServe(const Options& options) {
   util::SimClock siteClock;
   const auto roster = server::measurementRoster(options.sites, options.seed);
 
-  // Crowd knowledge: load whatever earlier serves (or fleet gossip runs)
+  // Crowd knowledge: load whatever earlier serves (or training fleets)
   // persisted, and keep appending as verdicts publish back.
   knowledge::KnowledgeBase knowledgeBase;
   std::unique_ptr<knowledge::KnowledgeStore> knowledgeStore;
