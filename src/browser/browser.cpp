@@ -1,9 +1,11 @@
 #include "browser/browser.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <set>
+#include <thread>
 
 #include "obs/recorder.h"
 #include "util/log.h"
@@ -184,11 +186,13 @@ PageView Browser::visit(const net::Url& url) {
   return view;
 }
 
-HiddenFetchPlan Browser::planHiddenFetch(
+HiddenFetchResult Browser::hiddenFetch(
     const PageView& view,
     const std::function<bool(const cookies::CookieRecord&)>&
         excludePersistent) {
-  HiddenFetchPlan plan;
+  obs::ScopedTimer hiddenSpan(obs::Timer::HiddenFetch);
+  obs::count(obs::Counter::HiddenFetches);
+  HiddenFetchResult result;
 
   // Section 3.2, step two: the hidden request "uses the same URI as the
   // saved [request]. It only modifies the Cookie field of the request
@@ -196,7 +200,7 @@ HiddenFetchPlan Browser::planHiddenFetch(
   // header (not the live jar) matters: cookies that arrived with this very
   // response must not leak into the hidden copy, or the comparison would
   // invert.
-  plan.request = view.containerRequest;
+  net::HttpRequest request = view.containerRequest;
 
   // Resolve the tested group to names: jar records matching this URL for
   // which the exclusion predicate holds.
@@ -206,7 +210,7 @@ HiddenFetchPlan Browser::planHiddenFetch(
          jar_.cookiesFor(view.url, clock_.nowMs())) {
       if (record->persistent && excludePersistent(*record)) {
         strippedNames.insert(record->key.name);
-        plan.strippedCookies.push_back(record->key);
+        result.strippedCookies.push_back(record->key);
       }
     }
   }
@@ -220,113 +224,37 @@ HiddenFetchPlan Browser::planHiddenFetch(
   }
   const std::string cookieHeader = net::formatCookieHeader(kept);
   if (cookieHeader.empty()) {
-    plan.request.headers.remove("Cookie");
+    request.headers.remove("Cookie");
   } else {
-    plan.request.headers.set("Cookie", cookieHeader);
+    request.headers.set("Cookie", cookieHeader);
   }
-  plan.request.kind = net::RequestKind::Hidden;
-  plan.request.attempt = 0;
-  return plan;
-}
+  request.kind = net::RequestKind::Hidden;
 
-HiddenFetchResult Browser::completeHiddenFetch(
-    HiddenFetchPlan plan, const net::Exchange& finalExchange, int attempts,
-    double latencySoFarMs, bool degraded, std::string degradedReason) {
-  HiddenFetchResult result;
-  result.strippedCookies = std::move(plan.strippedCookies);
-  result.attempts = attempts;
-  result.latencyMs = latencySoFarMs + finalExchange.latencyMs;
-  result.degraded = degraded;
-  result.degradedReason = std::move(degradedReason);
-  result.truncated = net::bodyTruncated(finalExchange.response);
-  result.status = finalExchange.response.status;
-  result.html = finalExchange.response.body;
-  result.provenance = extractProvenance(finalExchange.response);
-  // Flattened by the same pipeline as the regular copy, per Section 3.2
-  // step three (the hidden copy fetches no objects, so its page info is
-  // discarded).
-  {
-    obs::ScopedTimer streamSpan(obs::Timer::StreamBuild);
-    result.snapshot =
-        streamBuilder_.build(result.html, {}, result.provenance.get())
-            .snapshot;
-  }
-  // The hidden response triggers no object loads and its Set-Cookie headers
-  // are deliberately ignored.
-  clock_.advanceMs(static_cast<util::SimTimeMs>(finalExchange.latencyMs));
-  return result;
-}
-
-HiddenFetchResult Browser::hiddenFetch(
-    const PageView& view,
-    const std::function<bool(const cookies::CookieRecord&)>&
-        excludePersistent) {
-  obs::ScopedTimer hiddenSpan(obs::Timer::HiddenFetch);
-  obs::count(obs::Counter::HiddenFetches);
-  HiddenFetchPlan plan = planHiddenFetch(view, excludePersistent);
-
-  if (transport_.ownsRetryTiming()) {
-    // Socket mode: attempts and backoffs run on the transport's event-loop
-    // timer wheel, in real time. The virtual clock still records the
-    // measured wait so session timing stays coherent.
-    net::RetrySpec spec;
-    spec.maxAttempts = hiddenRetryPolicy_.maxAttempts;
-    spec.initialBackoffMs = hiddenRetryPolicy_.initialBackoffMs;
-    spec.backoffMultiplier = hiddenRetryPolicy_.backoffMultiplier;
-    spec.maxBackoffMs = hiddenRetryPolicy_.maxBackoffMs;
-    spec.jitterFraction = hiddenRetryPolicy_.jitterFraction;
-    spec.retryBudget =
-        hiddenRetriesUsed_ >= hiddenRetryPolicy_.sessionRetryBudget
-            ? 0
-            : hiddenRetryPolicy_.sessionRetryBudget - hiddenRetriesUsed_;
-    net::FetchOutcome outcome =
-        transport_.dispatchWithRetry(plan.request, spec);
-    hiddenRetriesUsed_ += static_cast<std::uint64_t>(outcome.retriesUsed);
-    obs::count(obs::Counter::HiddenFetchRetries,
-               static_cast<std::uint64_t>(outcome.retriesUsed));
-    if (outcome.degraded) {
-      if (outcome.budgetExhausted) {
-        obs::count(obs::Counter::HiddenRetryBudgetExhausted);
-      }
-      obs::count(obs::Counter::HiddenFetchExhausted);
-    }
-    const double earlierMs =
-        outcome.totalLatencyMs - outcome.exchange.latencyMs;
-    clock_.advanceMs(static_cast<util::SimTimeMs>(earlierMs));
-    return completeHiddenFetch(std::move(plan), outcome.exchange,
-                               outcome.attempts, earlierMs, outcome.degraded,
-                               std::move(outcome.failureReason));
-  }
-
-  // Sim mode: dispatch with bounded retry on the virtual clock. Failed
+  // Dispatch with bounded retry, one transport dispatch per attempt. Failed
   // attempts advance the clock by their own round trip plus an exponential
   // jittered backoff; the final attempt's latency is applied after parsing,
-  // exactly where the pre-retry code advanced it, so a clean fetch replays
-  // byte-identically.
-  net::HttpRequest& request = plan.request;
+  // so a clean fetch advances the clock once, by its round trip. A
+  // transport with real round trips also sleeps the backoff, so the origin
+  // sees the retries spaced as the policy says.
   net::Exchange exchange;
-  std::string failureReason;
-  int attempts = 0;
-  double latencySoFarMs = 0.0;
-  bool degraded = false;
   for (int attempt = 0;; ++attempt) {
     request.attempt = attempt;
     exchange = transport_.dispatch(request);
-    ++attempts;
-    failureReason = net::fetchFailureReason(exchange.response);
-    if (failureReason.empty()) break;
+    ++result.attempts;
+    result.degradedReason = net::fetchFailureReason(exchange.response);
+    if (result.degradedReason.empty()) break;
     if (attempt + 1 >= hiddenRetryPolicy_.maxAttempts) {
-      degraded = true;
+      result.degraded = true;
       obs::count(obs::Counter::HiddenFetchExhausted);
       break;
     }
     if (hiddenRetriesUsed_ >= hiddenRetryPolicy_.sessionRetryBudget) {
-      degraded = true;
+      result.degraded = true;
       obs::count(obs::Counter::HiddenRetryBudgetExhausted);
       obs::count(obs::Counter::HiddenFetchExhausted);
       break;
     }
-    latencySoFarMs += exchange.latencyMs;
+    result.latencyMs += exchange.latencyMs;
     clock_.advanceMs(static_cast<util::SimTimeMs>(exchange.latencyMs));
     double backoff =
         std::min(hiddenRetryPolicy_.initialBackoffMs *
@@ -338,13 +266,33 @@ HiddenFetchResult Browser::hiddenFetch(
     backoff += backoff * hiddenRetryPolicy_.jitterFraction *
                (2.0 * rng_.uniform01() - 1.0);
     clock_.advanceMs(static_cast<util::SimTimeMs>(backoff));
-    latencySoFarMs += backoff;
+    result.latencyMs += backoff;
+    if (transport_.ownsRetryTiming()) {
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(backoff));
+    }
     ++hiddenRetriesUsed_;
     obs::count(obs::Counter::HiddenFetchRetries);
   }
-  return completeHiddenFetch(std::move(plan), exchange, attempts,
-                             latencySoFarMs, degraded,
-                             std::move(failureReason));
+
+  result.latencyMs += exchange.latencyMs;
+  result.truncated = net::bodyTruncated(exchange.response);
+  result.status = exchange.response.status;
+  result.html = exchange.response.body;
+  result.provenance = extractProvenance(exchange.response);
+  // Flattened by the same pipeline as the regular copy, per Section 3.2
+  // step three (the hidden copy fetches no objects, so its page info is
+  // discarded).
+  {
+    obs::ScopedTimer streamSpan(obs::Timer::StreamBuild);
+    result.snapshot =
+        streamBuilder_.build(result.html, {}, result.provenance.get())
+            .snapshot;
+  }
+  // The hidden response triggers no object loads and its Set-Cookie headers
+  // are deliberately ignored.
+  clock_.advanceMs(static_cast<util::SimTimeMs>(exchange.latencyMs));
+  return result;
 }
 
 double Browser::think() {

@@ -45,7 +45,9 @@ class ThinkTimeModel {
 // timeouts, 5xx, truncated bodies). Backoff is exponential over the
 // *virtual* clock with deterministic jitter drawn from the session RNG, so
 // a faulty run replays byte-identically; a fault-free run draws nothing
-// extra and behaves exactly as if no retry layer existed.
+// extra and behaves exactly as if no retry layer existed. Over a transport
+// whose round trips are real time (ownsRetryTiming()), the browser also
+// sleeps each backoff, so the origin sees the same spacing.
 struct RetryPolicy {
   int maxAttempts = 3;              // total tries, first attempt included
   double initialBackoffMs = 400.0;  // wait before the first retry
@@ -88,16 +90,6 @@ struct HiddenFetchResult {
   bool usable() const { return status == 200 && !degraded; }
 };
 
-// The issue half of a hidden fetch: the request with the tested cookie
-// group stripped, ready to dispatch, plus the group's resolved keys. Split
-// out so callers (the socket service tier, the load bench) can issue many
-// hidden requests asynchronously and complete each one as its response
-// arrives; Browser::hiddenFetch composes the two halves synchronously.
-struct HiddenFetchPlan {
-  net::HttpRequest request;
-  std::vector<cookies::CookieKey> strippedCookies;
-};
-
 class Browser {
  public:
   Browser(net::Transport& transport, util::SimClock& clock,
@@ -116,29 +108,12 @@ class Browser {
   // no redirects, triggers no object loads, and ignores Set-Cookie headers
   // (it must not perturb the jar the regular session uses). Advances the
   // clock by its round-trip latency (it runs during think time, so this
-  // costs the user nothing).
+  // costs the user nothing). Failed attempts are retried per
+  // hiddenRetryPolicy(), each one a single transport dispatch.
   HiddenFetchResult hiddenFetch(
       const PageView& view,
       const std::function<bool(const cookies::CookieRecord&)>&
           excludePersistent);
-
-  // Issue half of hiddenFetch: builds the cookie-stripped request without
-  // dispatching it. Resolves the tested group against the live jar, so call
-  // it at the clock time the fetch should see.
-  HiddenFetchPlan planHiddenFetch(
-      const PageView& view,
-      const std::function<bool(const cookies::CookieRecord&)>&
-          excludePersistent);
-
-  // Completion half: flattens the final attempt's response into a
-  // HiddenFetchResult and advances the clock by that attempt's round trip
-  // (earlier attempts and backoffs must already be accounted —
-  // `latencySoFarMs` carries them into the result's total).
-  HiddenFetchResult completeHiddenFetch(HiddenFetchPlan plan,
-                                        const net::Exchange& finalExchange,
-                                        int attempts, double latencySoFarMs,
-                                        bool degraded,
-                                        std::string degradedReason);
 
   // Installed by CookiePicker once training ends: persistent cookies for
   // which the filter returns true are withheld from regular requests

@@ -220,14 +220,13 @@ void CookiePicker::enforceForHostLocked(const std::string& host) {
       sink_->append(store::RecordType::HostEnforced, host);
     }
   }
-  if (config_.deleteUselessOnEnforce) {
-    browser_.jar().removeIf([&host](const cookies::CookieRecord& record) {
-      if (!record.persistent || record.useful) return false;
-      return record.hostOnly
-                 ? record.key.domain == host
-                 : net::hostMatchesDomain(host, record.key.domain);
-    });
-  }
+  // "Those disabled useless cookies will be removed from the Web
+  // browser's cookie jar."
+  browser_.jar().removeIf([&host](const cookies::CookieRecord& record) {
+    if (!record.persistent || record.useful) return false;
+    return record.hostOnly ? record.key.domain == host
+                           : net::hostMatchesDomain(host, record.key.domain);
+  });
 }
 
 void CookiePicker::enforceStableHosts() {

@@ -40,10 +40,6 @@ namespace cookiepicker::core {
 
 struct CookiePickerConfig {
   ForcumConfig forcum;
-  // When enforcement triggers, also delete the blocked cookies from the jar
-  // ("those disabled useless cookies will be removed from the Web browser's
-  // cookie jar").
-  bool deleteUselessOnEnforce = true;
   // Automatically enforce a host as soon as its training turns stable.
   bool autoEnforce = false;
   // Crowd-shared site knowledge (not owned; null = the per-user paper

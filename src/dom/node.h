@@ -67,8 +67,6 @@ class Node {
   Node& insertChild(std::size_t index, std::unique_ptr<Node> child);
   // Removes and returns the child at `index`.
   std::unique_ptr<Node> removeChild(std::size_t index);
-  // Removes all children.
-  void clearChildren() { children_.clear(); }
 
   // --- taint provenance (reference trees only) ---
   // Bit-vector of provenance labels: which cookie reads influenced this

@@ -121,15 +121,4 @@ void TreeSnapshot::setText(std::uint32_t i, std::string_view collapsed) {
   textArena_.append(collapsed);
 }
 
-std::size_t TreeSnapshot::memoryBytes() const {
-  return symbols_.capacity() * sizeof(SymbolId) +
-         subtreeEnd_.capacity() * sizeof(std::uint32_t) +
-         levels_.capacity() * sizeof(std::int32_t) +
-         flags_.capacity() * sizeof(std::uint16_t) +
-         texts_.capacity() * sizeof(TextRow) + textArena_.capacity() +
-         childOffset_.capacity() * sizeof(std::uint32_t) +
-         childIndex_.capacity() * sizeof(std::uint32_t) +
-         taintSets_.capacity() * sizeof(provenance::TaintSetId);
-}
-
 }  // namespace cookiepicker::dom

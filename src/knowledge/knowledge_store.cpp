@@ -1,41 +1,10 @@
 #include "knowledge/knowledge_store.h"
 
-#include <filesystem>
-
 namespace cookiepicker::knowledge {
-
-namespace fs = std::filesystem;
 
 namespace {
 
 constexpr char kKnowledgeFingerprint[] = "knowledge-v1";
-
-// Inverse of StateStore::shardName for stems it produced: %XX escapes decode
-// back to their byte, everything else passes through. (shardName escapes
-// '%' itself, so the decode is unambiguous.)
-std::string decodeShardStem(const std::string& stem) {
-  std::string out;
-  out.reserve(stem.size());
-  for (std::size_t i = 0; i < stem.size(); ++i) {
-    if (stem[i] == '%' && i + 2 < stem.size()) {
-      const auto hex = [](char c) -> int {
-        if (c >= '0' && c <= '9') return c - '0';
-        if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-        if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-        return -1;
-      };
-      const int hi = hex(stem[i + 1]);
-      const int lo = hex(stem[i + 2]);
-      if (hi >= 0 && lo >= 0) {
-        out.push_back(static_cast<char>(hi * 16 + lo));
-        i += 2;
-        continue;
-      }
-    }
-    out.push_back(stem[i]);
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -54,22 +23,13 @@ store::HostStore* KnowledgeStore::writableShard(const std::string& host) {
 
 void KnowledgeStore::attach(KnowledgeBase& base) {
   sitesLoaded_ = 0;
-  // Discover existing shards by their file stems (the fsck convention);
-  // a directory that does not exist yet is simply an empty store.
-  std::set<std::string> stems;
+  // Discover existing shards the way fsck does; a directory that does not
+  // exist yet is simply an empty store.
   std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(directory_, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.ends_with(".wal")) {
-      stems.insert(name.substr(0, name.size() - 4));
-    } else if (name.ends_with(".snap")) {
-      stems.insert(name.substr(0, name.size() - 5));
-    }
-  }
-  for (const std::string& stem : stems) {
-    const std::string host = decodeShardStem(stem);
-    const store::HostStore* shard = store_.openHost(host);
+  for (const store::ShardFiles& files :
+       store::StateStore::listShards(directory_, ec)) {
+    if (!files.durable) continue;
+    const store::HostStore* shard = store_.openHost(files.host);
     for (const auto& [lineHost, line] : shard->recovered().knowledgeLines) {
       std::string parsedHost;
       const std::optional<SiteKnowledge> entry =

@@ -112,6 +112,7 @@ Exchange Network::dispatch(const HttpRequest& request) {
                     util::fnv1a64(request.url.path()));
     exchange.latencyMs =
         LatencyProfile::fast().sampleMs(rng, exchange.response.body.size());
+    exchange.responseBytes = wireSize(exchange.response);
   } else {
     const faults::PlanSnapshot plan = faultPlan_.load();
     std::lock_guard lock(entry->mutex);
@@ -141,6 +142,7 @@ Exchange Network::dispatch(const HttpRequest& request) {
         default:
           break;
       }
+      exchange.responseBytes = wireSize(exchange.response);
     } else {
       exchange.response = entry->handler->handle(request);
       double extraLatencyMs = 0.0;
@@ -171,13 +173,13 @@ Exchange Network::dispatch(const HttpRequest& request) {
             break;
         }
       }
+      // The response is final here; its size also drives the latency.
       exchange.responseBytes = wireSize(exchange.response);
       exchange.latencyMs =
           entry->profile.sampleMs(entry->rng, exchange.responseBytes) +
           exchange.response.serverProcessingMs + extraLatencyMs;
     }
   }
-  exchange.responseBytes = wireSize(exchange.response);
 
   totalRequests_.fetch_add(1, std::memory_order_relaxed);
   totalBytes_.fetch_add(exchange.requestBytes + exchange.responseBytes,

@@ -10,12 +10,12 @@
 //    contract every byte-identity test rides on.
 //  * serve::SocketTransport: real HTTP/1.1 over loopback sockets through an
 //    epoll event loop, with per-host connection pools and pipelining. It
-//    owns retry timing itself (attempts and backoffs run on the loop's
-//    timer wheel) and reports measured wall latencies.
+//    reports measured wall latencies.
 //
-// The browser asks `ownsRetryTiming()` to decide which side runs the hidden
-// fetch retry loop; the sim answer ("no") keeps the virtual-clock path
-// bit-exact with the pre-transport code.
+// Neither retries. Browser::hiddenFetch runs the one retry loop over
+// dispatch() for both, drawing jitter from the session RNG and charging
+// backoffs to the virtual clock; `ownsRetryTiming()` only tells it whether
+// the backoffs must also be slept.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +47,12 @@ struct Exchange {
   const char* injectedFault = nullptr;
 };
 
-// Mirror of browser::RetryPolicy handed down to transports that run the
-// retry loop themselves. `retryBudget` is the *remaining* session budget —
-// the transport may spend at most that many attempts beyond each first try.
+// RetrySpec, FetchOutcome and Transport::dispatchWithRetry have no caller
+// in the library: they stay only because e2ebench's TimedTransport
+// overrides dispatchWithRetry. Delete them with the next benchmark change.
+//
+// Mirror of browser::RetryPolicy. `retryBudget` is the *remaining* session
+// budget.
 struct RetrySpec {
   int maxAttempts = 1;
   double initialBackoffMs = 400.0;
@@ -59,7 +62,7 @@ struct RetrySpec {
   std::uint64_t retryBudget = 0;
 };
 
-// What a transport-owned retrying fetch reports back.
+// What a retrying fetch reports back.
 struct FetchOutcome {
   Exchange exchange;          // the final attempt
   int attempts = 1;           // dispatches issued (1 = clean first try)
@@ -73,8 +76,7 @@ struct FetchOutcome {
 // Why a fetched response cannot be used as-is, or empty if it can: status 0
 // names the transport failure via statusText, 5xx reports "http-NNN", and a
 // body shorter than its declared Content-Length reports "truncated-body".
-// Shared by the browser's virtual-clock retry loop and the socket client's
-// wheel-driven one, so both sides classify identically.
+// The browser's retry loop classifies every transport's responses with it.
 std::string fetchFailureReason(const HttpResponse& response);
 // A body shorter than its declared Content-Length — the signature a
 // mid-transfer truncation leaves behind.
@@ -121,15 +123,11 @@ class Transport {
     return exchanges;
   }
 
-  // True when the transport runs retry/backoff itself (on its event loop's
-  // timer wheel). The sim answers false: there the browser owns the retry
-  // loop and charges backoffs to the virtual clock, bit-exactly as before
-  // the transport seam existed.
+  // True when round trips are real time, so backoffs must be slept. The
+  // sim answers false: its backoffs exist only on the virtual clock.
   virtual bool ownsRetryTiming() const { return false; }
 
-  // Multi-attempt fetch for transports that own retry timing. The default
-  // (never reached through the browser, which checks ownsRetryTiming()
-  // first) degrades to a single attempt.
+  // A single attempt, reported as a FetchOutcome (see RetrySpec above).
   virtual FetchOutcome dispatchWithRetry(const HttpRequest& request,
                                          const RetrySpec& retry) {
     (void)retry;

@@ -92,7 +92,7 @@ enum class Counter : std::uint8_t {
   ServeDispatches,         // async-client requests issued
   ServeConnectionsOpened,  // TCP connections the client pool opened
   ServeReusedDispatches,   // dispatches on an already-used connection
-  ServeRetriesScheduled,   // wheel-timer retries the client scheduled
+  ServeRetriesScheduled,   // client fetches with attempt > 0 (retries)
   ServeRequestsServed,     // requests the origin tier answered
   ServeFaultsInjected,     // socket-layer faults the origin injected
   ServeParseErrors,        // malformed/oversized requests rejected

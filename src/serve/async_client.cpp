@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 
 #include "obs/recorder.h"
@@ -16,19 +15,15 @@
 namespace cookiepicker::serve {
 
 AsyncHttpClient::AsyncHttpClient(EventLoop& loop, AsyncClientConfig config)
-    : loop_(loop),
-      config_(std::move(config)),
-      rng_(config_.seed, /*sequence=*/0x636c6e74UL) {}
+    : loop_(loop), config_(std::move(config)) {}
 
 AsyncHttpClient::~AsyncHttpClient() {
   // Connections, pools, and deadline timers are loop-confined; tear them
   // down on the loop thread (or inline once the loop has stopped) so the
   // natural stack order — client declared after the LoopThread, destroyed
   // before it — is safe. Callers should not have fetches outstanding: any
-  // still in flight are dropped without their callbacks running, and a
-  // fetchWithRetry sleeping on the wheel is defused via aliveToken_.
+  // still in flight are dropped without their callbacks running.
   loop_.runSync([this]() {
-    aliveToken_.reset();
     std::vector<Conn*> conns;
     conns.reserve(connections_.size());
     for (auto& [fd, conn] : connections_) conns.push_back(conn.get());
@@ -58,6 +53,14 @@ void AsyncHttpClient::fetch(net::HttpRequest request, FetchCallback done) {
 
 void AsyncHttpClient::fetchOnLoop(net::HttpRequest request,
                                   FetchCallback done) {
+  if (request.attempt > 0) {
+    // A caller-side retry of a logical request the origin already saw.
+    {
+      std::lock_guard<std::mutex> lock(statsMutex_);
+      ++stats_.retriesScheduled;
+    }
+    obs::countGlobal(obs::Counter::ServeRetriesScheduled);
+  }
   const std::string host = util::toLowerAscii(request.url.host());
   const auto port = config_.resolve ? config_.resolve(host) : std::nullopt;
   if (!port) {
@@ -372,88 +375,6 @@ void AsyncHttpClient::destroyConnection(Conn* conn, bool requeueInflight) {
   } else {
     for (InFlight& orphan : orphans) loop_.cancelTimer(orphan.deadline);
   }
-}
-
-// ---- retrying fetch ----
-
-struct AsyncHttpClient::RetryState {
-  net::HttpRequest request;
-  net::RetrySpec spec;
-  RetryCallback done;
-  int attempt = 0;  // index of the attempt in flight
-  std::uint64_t budgetLeft = 0;
-  net::FetchOutcome outcome;
-};
-
-void AsyncHttpClient::fetchWithRetry(net::HttpRequest request,
-                                     net::RetrySpec spec, RetryCallback done) {
-  auto state = std::make_shared<RetryState>();
-  state->request = std::move(request);
-  state->spec = spec;
-  state->done = std::move(done);
-  state->budgetLeft = spec.retryBudget;
-  if (loop_.inLoopThread()) {
-    runRetryAttempt(std::move(state));
-  } else {
-    loop_.post([this, state]() { runRetryAttempt(state); });
-  }
-}
-
-void AsyncHttpClient::runRetryAttempt(std::shared_ptr<RetryState> state) {
-  state->request.attempt = state->attempt;
-  net::HttpRequest attemptRequest = state->request;
-  fetchOnLoop(std::move(attemptRequest), [this,
-                                          state](net::Exchange exchange) {
-    net::FetchOutcome& outcome = state->outcome;
-    outcome.totalLatencyMs += exchange.latencyMs;
-    outcome.attempts = state->attempt + 1;
-    const std::string reason = net::fetchFailureReason(exchange.response);
-    if (reason.empty()) {
-      outcome.exchange = std::move(exchange);
-      outcome.failureReason.clear();
-      state->done(std::move(outcome));
-      return;
-    }
-    // Same decision order as the browser's virtual-clock loop: attempt
-    // ceiling first, then the session retry budget.
-    if (state->attempt + 1 >= state->spec.maxAttempts) {
-      outcome.exchange = std::move(exchange);
-      outcome.degraded = true;
-      outcome.failureReason = reason;
-      state->done(std::move(outcome));
-      return;
-    }
-    if (state->budgetLeft == 0) {
-      outcome.exchange = std::move(exchange);
-      outcome.degraded = true;
-      outcome.budgetExhausted = true;
-      outcome.failureReason = reason;
-      state->done(std::move(outcome));
-      return;
-    }
-    double backoff = std::min(
-        state->spec.initialBackoffMs *
-            std::pow(state->spec.backoffMultiplier,
-                     static_cast<double>(state->attempt)),
-        state->spec.maxBackoffMs);
-    backoff += backoff * state->spec.jitterFraction *
-               (2.0 * rng_.uniform01() - 1.0);
-    outcome.totalLatencyMs += backoff;
-    ++outcome.retriesUsed;
-    --state->budgetLeft;
-    ++state->attempt;
-    {
-      std::lock_guard<std::mutex> lock(statsMutex_);
-      ++stats_.retriesScheduled;
-    }
-    obs::countGlobal(obs::Counter::ServeRetriesScheduled);
-    loop_.runAfter(backoff,
-                   [this, state,
-                    alive = std::weak_ptr<char>(aliveToken_)]() {
-                     if (alive.expired()) return;  // client destroyed
-                     runRetryAttempt(state);
-                   });
-  });
 }
 
 }  // namespace cookiepicker::serve

@@ -16,9 +16,9 @@
 // re-queues them transparently (same attempt number — the origin never
 // evaluated them), preserving exactly-once fault-schedule semantics.
 //
-// fetchWithRetry runs the browser's exponential-backoff policy on the
-// loop's timer wheel — the socket-mode answer to the sim's virtual-clock
-// retry loop, with the same attempt arithmetic and budget bookkeeping.
+// The client never retries on its own: Browser::hiddenFetch runs the one
+// retry loop for both transports and sends each attempt as a fetch with
+// its `attempt` number set.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +36,6 @@
 #include "serve/event_loop.h"
 #include "serve/http1.h"
 #include "serve/origin_tier.h"
-#include "util/rng.h"
 
 namespace cookiepicker::serve {
 
@@ -47,7 +46,7 @@ struct AsyncClientConfig {
   // connection (pipelining).
   int maxPipelineDepth = 1;
   double requestDeadlineMs = 30000.0;
-  std::uint64_t seed = 1;  // backoff jitter stream
+  std::uint64_t seed = 1;  // inert: the client draws no random numbers
   Http1Limits limits;
 };
 
@@ -59,6 +58,7 @@ struct AsyncClientStats {
   std::uint64_t reusedDispatches = 0;
   std::uint64_t drops = 0;
   std::uint64_t timeouts = 0;
+  // Fetches with attempt > 0: retries the caller's loop sent.
   std::uint64_t retriesScheduled = 0;
 
   double reuseRatio() const {
@@ -72,7 +72,6 @@ struct AsyncClientStats {
 class AsyncHttpClient {
  public:
   using FetchCallback = std::function<void(net::Exchange)>;
-  using RetryCallback = std::function<void(net::FetchOutcome)>;
 
   AsyncHttpClient(EventLoop& loop, AsyncClientConfig config);
   ~AsyncHttpClient();
@@ -81,8 +80,6 @@ class AsyncHttpClient {
 
   // Thread-safe; `done` runs on the loop thread.
   void fetch(net::HttpRequest request, FetchCallback done);
-  void fetchWithRetry(net::HttpRequest request, net::RetrySpec spec,
-                      RetryCallback done);
 
   AsyncClientStats stats() const;
 
@@ -113,7 +110,6 @@ class AsyncHttpClient {
     std::deque<Pending> queue;
     std::vector<Conn*> conns;
   };
-  struct RetryState;
 
   void fetchOnLoop(net::HttpRequest request, FetchCallback done);
   void pump(const std::string& host);
@@ -128,19 +124,12 @@ class AsyncHttpClient {
   void destroyConnection(Conn* conn, bool requeueInflight);
   void armWritable(Conn* conn, bool want);
   Conn* findConn(int fd, std::uint64_t id);
-  void runRetryAttempt(std::shared_ptr<RetryState> state);
 
   EventLoop& loop_;
   AsyncClientConfig config_;
   std::unordered_map<int, std::unique_ptr<Conn>> connections_;
   std::unordered_map<std::string, HostPool> pools_;
   std::uint64_t nextConnId_ = 1;
-  // Retry-backoff timers capture a weak_ptr to this token and no-op once
-  // the destructor resets it, so a fetchWithRetry sleeping on the wheel
-  // cannot fire into a destroyed client. (Deadline timers need no guard:
-  // destroyConnection cancels them.)
-  std::shared_ptr<char> aliveToken_ = std::make_shared<char>(0);
-  util::Pcg32 rng_;
 
   mutable std::mutex statsMutex_;
   AsyncClientStats stats_;

@@ -225,10 +225,16 @@ void HttpServer::serveOne(Connection* conn, const ParsedRequest& parsed) {
     return;
   }
 
+  // With no plan installed, evaluation would touch no state and draw
+  // nothing, so the host's fault state is not even looked up.
   const faults::PlanSnapshot plan = faultPlan_.load();
-  HostFaults& hostState = faultsFor(host);
-  const faults::FaultRule* fault = net::evaluateFault(
-      plan, hostState.state, request, host, hostState.rng);
+  HostFaults* hostState = nullptr;
+  const faults::FaultRule* fault = nullptr;
+  if (plan.plan != nullptr && !plan.plan->empty()) {
+    hostState = &faultsFor(host);
+    fault = net::evaluateFault(plan, hostState->state, request, host,
+                               hostState->rng);
+  }
 
   if (fault != nullptr && faults::shortCircuits(fault->action)) {
     ++stats_.faultsInjected;
@@ -288,7 +294,7 @@ void HttpServer::serveOne(Connection* conn, const ParsedRequest& parsed) {
     fault = nullptr;
   }
   if (fault != nullptr && fault->action == faults::Action::CorruptSetCookie &&
-      net::corruptSetCookies(response, hostState.rng)) {
+      net::corruptSetCookies(response, hostState->rng)) {
     ++stats_.faultsInjected;
     obs::countGlobal(obs::Counter::ServeFaultsInjected);
   }

@@ -6,9 +6,10 @@
 // thread on a future until the response lands. dispatchBatch() issues the
 // whole batch at once — with a pipelining-enabled client the batch rides
 // per-host pooled connections back-to-back — and collects results in
-// request order. ownsRetryTiming() is true: hidden-fetch retries and
-// backoffs run on the client's timer wheel in real time, not on the
-// browser's virtual clock.
+// request order. ownsRetryTiming() is true: round trips are real time, so
+// the browser sleeps its hidden-fetch backoffs as well as charging them to
+// the virtual clock. The browser's hidden fetch is one dispatch() per
+// attempt; it never calls dispatchBatch().
 #pragma once
 
 #include <future>
@@ -50,17 +51,6 @@ class SocketTransport : public net::Transport {
   }
 
   bool ownsRetryTiming() const override { return true; }
-
-  net::FetchOutcome dispatchWithRetry(const net::HttpRequest& request,
-                                      const net::RetrySpec& retry) override {
-    std::promise<net::FetchOutcome> promise;
-    std::future<net::FetchOutcome> future = promise.get_future();
-    client_.fetchWithRetry(request, retry,
-                           [&promise](net::FetchOutcome outcome) {
-                             promise.set_value(std::move(outcome));
-                           });
-    return future.get();
-  }
 
   AsyncHttpClient& client() { return client_; }
 

@@ -1,13 +1,13 @@
 // Hashed timer wheel for the serve event loop.
 //
-// Deadlines (connection timeouts, retry backoffs, slow-drip writes) hash
+// Deadlines (request timeouts, timeout holds, slow-drip writes) hash
 // into fixed-width slots by their tick, so schedule/cancel/expire are O(1)
 // amortized no matter how many timers are pending — the classic trade
 // against a sorted timer list, which pays O(log n) per operation. The wheel
 // keeps no clock of its own: the owner tells it what time it is via
 // advanceTo(), which makes it trivially unit-testable (and reusable against
-// a virtual clock, though the sim path never needs it — sim backoffs are
-// charged straight to the browser's SimClock).
+// a virtual clock, though the sim path never needs it). Hidden-fetch
+// backoffs never ride the wheel: the browser charges them to its SimClock.
 #pragma once
 
 #include <array>

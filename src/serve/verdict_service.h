@@ -5,8 +5,8 @@
 // roster; the service runs a full CookiePicker training session for it
 // (core::runHostSession, the fleet's session recipe) with every fetch
 // flowing through the injected net::Transport — the sim for reference
-// runs, the SocketTransport for the real service tier, where hidden
-// requests become batched pipelined fetches against the origin tier.
+// runs, the SocketTransport for the real service tier, where each hidden
+// request attempt is one keep-alive fetch against the origin tier.
 //
 // Routes:
 //   GET /healthz               → 200 "ok"

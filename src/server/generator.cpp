@@ -25,17 +25,6 @@ std::vector<std::string> SiteSpec::usefulCookieNames() const {
   return names;
 }
 
-std::vector<std::string> SiteSpec::allPersistentCookieNames() const {
-  std::vector<std::string> names = usefulCookieNames();
-  for (int i = 0; i < containerTrackers; ++i) {
-    names.push_back("trk" + std::to_string(i));
-  }
-  for (int i = 0; i < pixelTrackers; ++i) {
-    names.push_back("px" + std::to_string(i));
-  }
-  return names;
-}
-
 net::LatencyProfile SiteSpec::latencyProfile() const {
   switch (speed) {
     case SiteSpeed::Fast:

@@ -61,8 +61,6 @@ struct SiteSpec {
   }
   // Names of the genuinely useful cookies this site sets.
   std::vector<std::string> usefulCookieNames() const;
-  // Names of every persistent cookie this site can set.
-  std::vector<std::string> allPersistentCookieNames() const;
 
   net::LatencyProfile latencyProfile() const;
 };

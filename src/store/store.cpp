@@ -417,12 +417,8 @@ void HostStore::appendLocked(RecordType type, std::string_view body,
   }
   // No flush: the crash model is process death, where stdio buffering costs
   // nothing (fclose and the simulated crash points flush what the model
-  // says survives) — only fsyncEveryAppend buys per-record durability.
+  // says survives). Snapshots still fsync before they are published.
   std::fwrite(frame.data(), 1, frame.size(), wal_);
-  if (parent_->config().fsyncEveryAppend) {
-    std::fflush(wal_);
-    ::fsync(fileno(wal_));
-  }
   mirror_.apply(seq, recordTypeName(type), body);
   obs::countGlobal(obs::Counter::StoreAppends);
   obs::countGlobal(obs::Counter::StoreAppendBytes, frame.size());
@@ -562,6 +558,57 @@ std::string StateStore::shardName(std::string_view host) {
   return out;
 }
 
+std::string StateStore::shardHost(std::string_view stem) {
+  const auto hex = [](char c) -> int {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    return -1;
+  };
+  std::string out;
+  out.reserve(stem.size());
+  for (std::size_t i = 0; i < stem.size(); ++i) {
+    if (stem[i] == '%' && i + 2 < stem.size()) {
+      const int hi = hex(stem[i + 1]);
+      const int lo = hex(stem[i + 2]);
+      if (hi >= 0 && lo >= 0) {
+        out.push_back(static_cast<char>(hi * 16 + lo));
+        i += 2;
+        continue;
+      }
+    }
+    out.push_back(stem[i]);
+  }
+  return out;
+}
+
+std::vector<ShardFiles> StateStore::listShards(const std::string& directory,
+                                               std::error_code& ec) {
+  std::map<std::string, ShardFiles> byStem;
+  for (const auto& entry : fs::directory_iterator(directory, ec)) {
+    if (!entry.is_regular_file()) continue;
+    const std::string name = entry.path().filename().string();
+    const auto shard = [&](std::string_view suffix) -> ShardFiles& {
+      return byStem[name.substr(0, name.size() - suffix.size())];
+    };
+    if (name.ends_with(".snap.tmp")) {
+      shard(".snap.tmp").orphanTmp = true;
+    } else if (name.ends_with(".wal")) {
+      shard(".wal").durable = true;
+    } else if (name.ends_with(".snap")) {
+      shard(".snap").durable = true;
+    }
+  }
+  std::vector<ShardFiles> shards;
+  shards.reserve(byStem.size());
+  for (auto& [stem, files] : byStem) {
+    files.stem = stem;
+    files.host = shardHost(stem);
+    shards.push_back(std::move(files));
+  }
+  return shards;
+}
+
 HostStore* StateStore::openHost(const std::string& host) {
   std::lock_guard lock(mutex_);
   const auto it = shards_.find(host);
@@ -595,35 +642,19 @@ HostStore* StateStore::openHost(const std::string& host) {
 FsckReport StateStore::fsck(const std::string& directory) {
   FsckReport report;
   std::error_code ec;
-  std::set<std::string> stems;
-  std::set<std::string> tmpStems;
-  for (const auto& entry : fs::directory_iterator(directory, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    auto stemOf = [&name](std::string_view suffix) {
-      return name.substr(0, name.size() - suffix.size());
-    };
-    if (name.ends_with(".snap.tmp")) {
-      stems.insert(stemOf(".snap.tmp"));
-      tmpStems.insert(stemOf(".snap.tmp"));
-    } else if (name.ends_with(".wal")) {
-      stems.insert(stemOf(".wal"));
-    } else if (name.ends_with(".snap")) {
-      stems.insert(stemOf(".snap"));
-    }
-  }
+  const std::vector<ShardFiles> shards = listShards(directory, ec);
   if (ec) {
     // A directory that was never created is an empty store, not data loss;
     // only a directory that exists but can't be scanned fails the check.
     report.ok = !fs::exists(directory);
     return report;
   }
-  for (const std::string& stem : stems) {
-    const std::string base = directory + "/" + stem;
+  for (const ShardFiles& files : shards) {
+    const std::string base = directory + "/" + files.stem;
     const ShardReplay replay =
         replayShardFiles(base + ".snap", base + ".wal");
     ShardFsck shard;
-    shard.shard = stem;
+    shard.shard = files.stem;
     shard.fingerprint = replay.state.meta.fingerprint;
     shard.snapshotPresent = replay.snapPresent;
     shard.snapshotValid = replay.stats.snapshotLoaded;
@@ -632,7 +663,7 @@ FsckReport StateStore::fsck(const std::string& directory) {
     shard.complete = replay.state.meta.complete;
     shard.tornTail = replay.stats.tornTail;
     shard.corrupt = replay.stats.corrupt;
-    shard.orphanTmp = tmpStems.contains(stem);
+    shard.orphanTmp = files.orphanTmp;
     shard.snapshotRecords = replay.stats.snapshotRecords;
     shard.walRecords = replay.stats.walRecords;
     shard.duplicates = replay.stats.duplicates;

@@ -47,6 +47,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "faults/crash.h"
@@ -60,10 +61,6 @@ struct StoreConfig {
   // Compact the shard (snapshot + WAL truncate) every N appends; 0 keeps
   // the WAL growing until finalize().
   std::uint64_t compactEveryAppends = 256;
-  // fsync after every append (snapshots always fsync before publishing;
-  // the WAL default is flush-only, which the simulated-crash model — the
-  // store's own writes, not the kernel, drop the tail — makes safe).
-  bool fsyncEveryAppend = false;
 };
 
 // What replaying one shard's durable bytes yielded.
@@ -249,6 +246,14 @@ struct FsckReport {
   bool ok = true;  // every shard ok
 };
 
+// One shard as found on disk by StateStore::listShards.
+struct ShardFiles {
+  std::string stem;          // the file stem, shardName(host)
+  std::string host;          // the host the stem decodes to
+  bool durable = false;      // a .wal or .snap exists
+  bool orphanTmp = false;    // a leftover .snap.tmp exists
+};
+
 // Directory manager: owns one HostStore per opened host and the store-wide
 // crash state. A StateStore instance represents one process lifetime — to
 // model "restart after crash", construct a fresh StateStore over the same
@@ -278,6 +283,14 @@ class StateStore {
 
   // Filesystem-safe shard name for a host ([a-z0-9._-] kept, rest %XX).
   static std::string shardName(std::string_view host);
+  // Inverse of shardName for stems it produced: %XX escapes decode back to
+  // their byte, everything else passes through (shardName escapes '%'
+  // itself, so the decode is unambiguous).
+  static std::string shardHost(std::string_view stem);
+  // Every shard with a .wal, .snap or .snap.tmp file in `directory`, in
+  // stem order. Sets `ec` when the directory cannot be scanned.
+  static std::vector<ShardFiles> listShards(const std::string& directory,
+                                            std::error_code& ec);
 
   static FsckReport fsck(const std::string& directory);
 

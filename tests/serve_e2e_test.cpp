@@ -14,12 +14,14 @@
 #include <string>
 #include <vector>
 
+#include "browser/browser.h"
 #include "faults/fault_plan.h"
 #include "net/http.h"
 #include "net/network.h"
 #include "net/transport.h"
 #include "net/url.h"
 #include "obs/metrics.h"
+#include "obs/recorder.h"
 #include "serve/async_client.h"
 #include "serve/event_loop.h"
 #include "serve/origin_tier.h"
@@ -323,28 +325,51 @@ TEST(ServeE2E, SlowDripDeliversTheFullBodyInPieces) {
   EXPECT_GE(dripped.latencyMs, 25.0);  // spread over the rule's extra-ms
 }
 
-TEST(ServeE2E, WheelRetryRecoversFromAFlappingOrigin) {
-  const auto spec = cookieSpec("E10", "e10.serve.example");
+// Drop one request, serve the next three, repeat (per physical attempt).
+std::shared_ptr<const faults::FaultPlan> flappingDrops() {
   faults::FaultRule rule;
   rule.action = faults::Action::ConnectionDrop;
-  rule.failCount = 1;  // drop one, recover for three, repeat
+  rule.failCount = 1;
   rule.recoverCount = 3;
-  serve::OriginTierConfig tierConfig;
-  tierConfig.faultPlan = onePlan(rule);
-  SocketRig rig({spec}, tierConfig);
+  return onePlan(rule);
+}
 
-  net::RetrySpec spec2;
-  spec2.maxAttempts = 3;
-  spec2.initialBackoffMs = 5.0;
-  spec2.maxBackoffMs = 20.0;
-  spec2.retryBudget = 5;
-  const net::FetchOutcome outcome = rig.transport->dispatchWithRetry(
-      makeRequest(spec.domain, "/page0"), spec2);
-  EXPECT_EQ(outcome.exchange.response.status, 200);
-  EXPECT_EQ(outcome.attempts, 2);
-  EXPECT_EQ(outcome.retriesUsed, 1);
-  EXPECT_FALSE(outcome.degraded);
-  EXPECT_TRUE(outcome.failureReason.empty());
+// Backoffs short enough that the socket side's real-time sleeps stay cheap.
+browser::RetryPolicy shortRetry(int maxAttempts, double initialBackoffMs,
+                                std::uint64_t sessionRetryBudget) {
+  browser::RetryPolicy policy;
+  policy.maxAttempts = maxAttempts;
+  policy.initialBackoffMs = initialBackoffMs;
+  policy.maxBackoffMs = 4.0 * initialBackoffMs;
+  policy.sessionRetryBudget = sessionRetryBudget;
+  return policy;
+}
+
+// A saved container request for the browser's hidden refetch.
+browser::PageView viewOf(const std::string& host, const std::string& path) {
+  browser::PageView view;
+  view.containerRequest =
+      makeRequest(host, path, net::RequestKind::Container);
+  view.url = view.containerRequest.url;
+  return view;
+}
+
+TEST(ServeE2E, HiddenFetchRetryRecoversFromAFlappingOrigin) {
+  const auto spec = cookieSpec("E10", "e10.serve.example");
+  serve::OriginTierConfig tierConfig;
+  tierConfig.faultPlan = flappingDrops();
+  SocketRig rig({spec}, tierConfig);
+  util::SimClock clock;
+  browser::Browser browser(*rig.transport, clock);
+  browser.setHiddenRetryPolicy(shortRetry(3, 5.0, 5));
+
+  const browser::HiddenFetchResult hidden =
+      browser.hiddenFetch(viewOf(spec.domain, "/page0"), {});
+  EXPECT_EQ(hidden.status, 200);
+  EXPECT_EQ(hidden.attempts, 2);
+  EXPECT_EQ(browser.hiddenRetriesUsed(), 1u);
+  EXPECT_FALSE(hidden.degraded);
+  EXPECT_TRUE(hidden.degradedReason.empty());
   EXPECT_GE(rig.client->stats().retriesScheduled, 1u);
 }
 
@@ -355,27 +380,115 @@ TEST(ServeE2E, RetryExhaustionReportsDegradedAndBudget) {
   serve::OriginTierConfig tierConfig;
   tierConfig.faultPlan = onePlan(rule);
   SocketRig rig({spec}, tierConfig);
+  util::SimClock clock;
+  browser::Browser browser(*rig.transport, clock);
+  browser::RetryPolicy policy = shortRetry(2, 2.0, 5);
+  browser.setHiddenRetryPolicy(policy);
+  obs::MetricsRegistry metrics;
+  obs::ScopedObsSession scope(&metrics, nullptr);
 
-  net::RetrySpec retry;
-  retry.maxAttempts = 2;
-  retry.initialBackoffMs = 2.0;
-  retry.maxBackoffMs = 8.0;
-  retry.retryBudget = 5;
-  net::FetchOutcome degraded = rig.transport->dispatchWithRetry(
-      makeRequest(spec.domain, "/page0"), retry);
-  EXPECT_EQ(degraded.exchange.response.status, 0);
+  const browser::HiddenFetchResult degraded =
+      browser.hiddenFetch(viewOf(spec.domain, "/page0"), {});
+  EXPECT_EQ(degraded.status, 0);
   EXPECT_EQ(degraded.attempts, 2);
   EXPECT_TRUE(degraded.degraded);
-  EXPECT_FALSE(degraded.budgetExhausted);  // ceiling hit, not budget
-  EXPECT_EQ(degraded.failureReason, "connection dropped");
+  EXPECT_EQ(degraded.degradedReason, "connection dropped");
+  EXPECT_EQ(browser.hiddenRetriesUsed(), 1u);
+  // Ceiling hit, not budget.
+  EXPECT_EQ(
+      metrics.snapshot().counter(obs::Counter::HiddenRetryBudgetExhausted),
+      0u);
 
-  retry.maxAttempts = 3;
-  retry.retryBudget = 0;  // no budget: first failure is final
-  net::FetchOutcome broke = rig.transport->dispatchWithRetry(
-      makeRequest(spec.domain, "/page1"), retry);
+  policy.maxAttempts = 3;
+  policy.sessionRetryBudget = 0;  // no budget: first failure is final
+  browser.setHiddenRetryPolicy(policy);
+  const browser::HiddenFetchResult broke =
+      browser.hiddenFetch(viewOf(spec.domain, "/page1"), {});
   EXPECT_EQ(broke.attempts, 1);
   EXPECT_TRUE(broke.degraded);
-  EXPECT_TRUE(broke.budgetExhausted);
+  EXPECT_EQ(browser.hiddenRetriesUsed(), 1u);
+  EXPECT_EQ(
+      metrics.snapshot().counter(obs::Counter::HiddenRetryBudgetExhausted),
+      1u);
+}
+
+// One retry loop serves both transports: under the same flapping plan every
+// hidden fetch takes the same attempts and ends the same way, including the
+// one that finds the session retry budget spent.
+TEST(ServeE2E, HiddenFetchRetriesMatchTheSim) {
+  const auto spec = cookieSpec("E14", "e14.serve.example");
+  const auto plan = flappingDrops();
+  SimRig sim({spec});
+  sim.network.setFaultPlan(plan);
+  serve::OriginTierConfig tierConfig;
+  tierConfig.faultPlan = plan;
+  SocketRig rig({spec}, tierConfig);
+
+  util::SimClock simClock;
+  util::SimClock socketClock;
+  browser::Browser simBrowser(sim.network, simClock);
+  browser::Browser socketBrowser(*rig.transport, socketClock);
+  simBrowser.setHiddenRetryPolicy(shortRetry(3, 5.0, 2));
+  socketBrowser.setHiddenRetryPolicy(shortRetry(3, 5.0, 2));
+
+  int degradedFetches = 0;
+  for (int i = 0; i < 10; ++i) {
+    SCOPED_TRACE("hidden fetch #" + std::to_string(i));
+    const browser::PageView view =
+        viewOf(spec.domain, "/page" + std::to_string(i % 4));
+    const browser::HiddenFetchResult simmed = simBrowser.hiddenFetch(view, {});
+    const browser::HiddenFetchResult socketed =
+        socketBrowser.hiddenFetch(view, {});
+    EXPECT_EQ(simmed.attempts, socketed.attempts);
+    EXPECT_EQ(simmed.degraded, socketed.degraded);
+    EXPECT_EQ(simmed.degradedReason, socketed.degradedReason);
+    EXPECT_EQ(simmed.status, socketed.status);
+    EXPECT_EQ(simmed.html, socketed.html);
+    if (socketed.degraded) ++degradedFetches;
+  }
+  EXPECT_EQ(simBrowser.hiddenRetriesUsed(), socketBrowser.hiddenRetriesUsed());
+  EXPECT_EQ(socketBrowser.hiddenRetriesUsed(), 2u);
+  EXPECT_EQ(degradedFetches, 1);
+  // Every retry the browser spent reached the client as one attempt > 0.
+  EXPECT_EQ(rig.client->stats().retriesScheduled, 2u);
+}
+
+// The server skips the per-host fault lookup while no plan is installed.
+// A plan installed after clean traffic must then fire exactly as one
+// installed from the start: same gates, same fault-stream draws.
+TEST(ServeE2E, PlanInstalledAfterCleanTrafficMatchesPlanFromStart) {
+  const auto spec = cookieSpec("E15", "e15.serve.example");
+  faults::FaultRule rule;
+  rule.action = faults::Action::ServerError;
+  rule.status = 503;
+  rule.probability = 0.5;  // every decision draws from the fault stream
+  const auto plan = onePlan(rule);
+  serve::OriginTierConfig tierConfig;
+  tierConfig.faultPlan = plan;
+  SocketRig fromStart({spec}, tierConfig);
+  SocketRig late({spec});
+
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(late.transport
+                  ->dispatch(makeRequest(spec.domain,
+                                         "/page" + std::to_string(i % 4)))
+                  .response.status,
+              200);
+  }
+  late.tier->setFaultPlan(plan);
+
+  int faulted = 0;
+  for (int i = 0; i < 16; ++i) {
+    const net::HttpRequest request =
+        makeRequest(spec.domain, "/page" + std::to_string(i % 4));
+    const net::Exchange first = fromStart.transport->dispatch(request);
+    const net::Exchange second = late.transport->dispatch(request);
+    EXPECT_EQ(first.response.status, second.response.status) << i;
+    EXPECT_EQ(first.response.statusText, second.response.statusText) << i;
+    if (second.response.status == 503) ++faulted;
+  }
+  EXPECT_GT(faulted, 0);
+  EXPECT_LT(faulted, 16);
 }
 
 TEST(ServeE2E, UnknownHostSynthesizes404LikeTheSim) {

@@ -516,6 +516,14 @@ TEST_F(StoreTest, ShardNameSanitizesHosts) {
   EXPECT_EQ(StateStore::shardName("Shop/Example:8080"),
             "%53hop%2F%45xample%3A8080");
   EXPECT_EQ(StateStore::shardName(""), "_");
+
+  // shardHost inverts shardName, hostile hosts included.
+  for (const std::string host :
+       {"shop.example", "100%.example", "%41", "Shop/Example:8080",
+        "a/b/../c", "[::1]:80", "UPPER.EXAMPLE", "%%2F%"}) {
+    EXPECT_EQ(StateStore::shardHost(StateStore::shardName(host)), host)
+        << host;
+  }
 }
 
 TEST_F(StoreTest, FsckReportsHealthyAndCorruptShards) {

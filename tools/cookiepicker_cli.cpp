@@ -632,7 +632,6 @@ int runServe(const Options& options) {
     serve::AsyncClientConfig clientConfig;
     clientConfig.resolve = tier.resolver();
     clientConfig.maxPipelineDepth = 4;
-    clientConfig.seed = options.seed;
     serve::AsyncHttpClient client(clientLoop.loop(), clientConfig);
     serve::SocketTransport transport(client);
 
